@@ -1,20 +1,27 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import log_domain_power_mean, lp_min_max_abs, make_1d_problem
 
+import supmin.continuation
 from supmin import (
     DegenerateEnergy,
+    Grid,
+    NoConvergence,
+    WeightedPowerNorm,
     apply_operator,
+    assemble_operator,
     continuation_solve,
     dual_field,
     geometric_schedule,
+    identity_tensor,
     minimize_power_energy,
     penalized_solve,
     power_mean_energy,
     scaled_energy_gradient,
 )
-from supmin.continuation import _ratio_power
+from supmin.continuation import _factor_spd, _ratio_power, _StageProblem
 
 
 def test_geometric_schedule():
@@ -299,3 +306,85 @@ def test_custom_supremand_through_continuation():
     rep_ref = continuation_solve(op, F, u0, p_max=64.0, verify=False)
     assert rep_custom.e_inf == pytest.approx(rep_ref.e_inf, rel=1e-10)
     assert np.max(np.abs(rep_custom.u - rep_ref.u)) <= 1e-9
+
+
+def test_stage_rows_report_stalled():
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    strict = continuation_solve(op, F, u0, p_max=64.0, newton_tol=1e-16, verify=False)
+    assert any(row.stalled for row in strict.rows)
+    default = continuation_solve(op, F, u0, p_max=64.0, verify=False)
+    assert default.rows[0].stalled is False
+
+
+def _stage_hessian_problem(shape, n_comp, seed):
+    """A stage problem on a small grid plus random SPD nodal blocks for it."""
+    grid = Grid(shape)
+    op = assemble_operator(grid, identity_tensor(len(shape), n_comp))
+    problem = _StageProblem(op, WeightedPowerNorm(n_comp, q=2.0),
+                            np.zeros((grid.n_nodes, n_comp)), 2.0)
+    m = np.random.default_rng(seed).standard_normal((op.n_eq, n_comp, n_comp))
+    blocks = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(n_comp)
+    return problem, blocks
+
+
+@pytest.mark.parametrize("shape,n_comp", [((21,), 1), ((11, 11), 2)])
+def test_factor_spd_matches_dense_solve(shape, n_comp):
+    problem, blocks = _stage_hessian_problem(shape, n_comp, seed=3)
+    hess = problem.hessian_matrix(blocks)
+    dense = hess.toarray()
+    shift = 1e-14 * np.max(np.abs(np.diag(dense)))
+    rhs = np.random.default_rng(4).standard_normal(dense.shape[0])
+    ref = np.linalg.solve(dense + shift * np.eye(dense.shape[0]), rhs)
+    step = _factor_spd(hess).solve(rhs)
+    assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.fixture
+def factor_attempts(monkeypatch):
+    """Record every banded Cholesky attempt made by _factor_spd."""
+    attempts = []
+    factor = supmin.continuation.cholesky_banded
+
+    def counting(*args, **kwargs):
+        attempts.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(supmin.continuation, "cholesky_banded", counting)
+    return attempts
+
+
+def test_factor_spd_lifts_singular_hessian(factor_attempts):
+    problem, blocks = _stage_hessian_problem((11, 11), 2, seed=5)
+    blocks[::2] = 0.0
+    psd = problem.hessian_matrix(blocks)
+    assert np.linalg.matrix_rank(psd.toarray()) < psd.shape[0]
+    # the same Hessian pushed below PSD by a roundoff-sized negative part
+    blocks[::2] = -1e-10 * np.eye(2)
+    indefinite = problem.hessian_matrix(blocks)
+    rhs = np.random.default_rng(6).standard_normal(psd.shape[0])
+    for hess, min_attempts in ((psd, 1), (indefinite, 2)):
+        factor_attempts.clear()
+        step = _factor_spd(hess).solve(rhs)
+        assert np.all(np.isfinite(step))
+        assert step @ rhs > 0.0
+        assert len(factor_attempts) >= min_attempts
+
+
+def test_factor_spd_rejects_nonfinite_and_indefinite(factor_attempts):
+    hess = sp.identity(6, format="lil")
+    hess[2, 3] = hess[3, 2] = np.nan
+    with pytest.raises(NoConvergence):
+        _factor_spd(hess.tocsr())
+    assert not factor_attempts
+    with pytest.raises(NoConvergence, match="every regularization level"):
+        _factor_spd(-2.0 * sp.identity(6, format="csr"))
+    assert len(factor_attempts) == 8
+
+
+def test_penalized_solve_logs_line_search_failure(monkeypatch, caplog):
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    monkeypatch.setattr(supmin.continuation, "MAX_BACKTRACKS", 0)
+    with caplog.at_level("WARNING", logger="supmin.continuation"):
+        v = penalized_solve(op, F, u0, 16.0, u0)
+    np.testing.assert_array_equal(v, u0)
+    assert "gradient norm" in caplog.text

@@ -373,6 +373,9 @@ def boundary_profile(cfg, coords):
             raise ConfigError(
                 f"bc.file: table shape {data.shape} != ({n_nodes}, {cfg.components})"
             )
+        bad = np.argwhere(~np.isfinite(data))
+        if bad.size:
+            raise ConfigError(f"bc.file: non-finite value in row {bad[0, 0] + 1}")
         out = data
     else:
         raise ConfigError(f"bc.kind: unknown kind {cfg.bc_kind!r}")

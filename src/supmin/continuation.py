@@ -4,19 +4,23 @@ The sup energy is approached through power means with exponent p marching up
 a schedule; each stage is a smooth convex minimization solved by damped
 Newton, warm-started from the previous stage.  The stage Hessians L^T D L are
 symmetric positive definite and banded in the natural (C-order) dof order, so
-each Newton system is factored by banded Cholesky at cost O(n * bw^2).  With
-N components the bandwidth is at most (2(m_last - 4) + 2) * N + N - 1 on a 2D
-grid with m_last nodes along the last axis, and 3N - 1 in 1D.  Objectives are
-rescaled by the running peak cost so that arbitrarily large exponents stay
-inside floating-point range, and each stage reports the rigorous bracket
-[power mean, peak] around the limiting value.
+each Newton system is factored by banded Cholesky at cost O(n * bw^2).  Each
+Newton step scatters the nodal products of L^T D L straight into band storage
+through the operator's stencil pattern (DiscreteOperator.hessian_pattern),
+and the bandwidth bw comes from that pattern.  The pattern drops explicit
+zeros of the stencil, so with N components on a 2D grid with m_last nodes
+along the last axis bw is at most 2(m_last - 4) * N + N - 1 for 5-point
+operators (no cross-derivative terms) and (2(m_last - 4) + 2) * N + N - 1
+with them; in 1D it is at most 3N - 1.  Objectives are rescaled by the running peak cost
+so that arbitrarily large exponents stay inside floating-point range, and
+each stage reports the rigorous bracket [power mean, peak] around the
+limiting value.
 """
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench/tracer.py:126 patches this name
 
@@ -166,16 +170,14 @@ class _StageProblem:
         blocks *= p / (self.n_eq * m * m)
         return blocks
 
-    def hessian_matrix(self, blocks):
-        """Explicit sparse Hessian L^T D L of the rescaled objective."""
-        mat = self.op.free_matrix
-        n = self.n_comp
-        d_block = sp.bsr_matrix(
-            (blocks, np.arange(self.n_eq), np.arange(self.n_eq + 1)),
-            shape=(self.n_eq * n, self.n_eq * n),
-            blocksize=(n, n),
-        )
-        return mat.T @ (d_block @ mat)
+    def hessian_band(self, blocks):
+        """Upper band storage of the Hessian L^T D L of the rescaled objective."""
+        pattern = self.op.hessian_pattern
+        v = pattern.coeffs
+        local = v @ (blocks @ v.transpose(0, 2, 1))
+        size = (pattern.bandwidth + 1) * pattern.n_dofs
+        band = np.bincount(pattern.band_index, weights=local.ravel(), minlength=size + 1)
+        return band[:size].reshape(pattern.bandwidth + 1, pattern.n_dofs)
 
 
 class _BandedCholesky:
@@ -188,28 +190,19 @@ class _BandedCholesky:
         return cho_solve_banded((self.band, False), rhs, check_finite=False)
 
 
-def _factor_spd(hess):
+def _factor_spd(band):
     """Banded Cholesky of the (regularized) Hessian; lifts the shift until it factors.
 
-    The upper triangle goes into LAPACK upper band storage,
-    band[bw + i - j, j] = H[i, j], with the bandwidth bw read off the sparsity
-    pattern.
+    band is the LAPACK upper band storage of H, band[bw + i - j, j] = H[i, j];
+    its last (diagonal) row is overwritten with the shifted diagonal.
     """
-    upper = sp.triu(hess, format="coo")
-    if not np.all(np.isfinite(upper.data)):
+    if not np.all(np.isfinite(band)):
         raise NoConvergence("Newton system has non-finite entries")
-    n = hess.shape[0]
-    offset = upper.col - upper.row
-    bw = int(offset.max()) if offset.size else 0
-    # bincount sums any duplicate entries the sparse products leave behind
-    band = np.bincount(
-        (bw - offset) * n + upper.col, weights=upper.data, minlength=(bw + 1) * n
-    ).reshape(bw + 1, n)
-    diag = band[bw].copy()
+    diag = band[-1].copy()
     scale = max(float(np.max(np.abs(diag))), 1e-300)
     shift = 1e-14 * scale
     for _ in range(8):
-        band[bw] = diag + shift
+        band[-1] = diag + shift
         try:
             return _BandedCholesky(cholesky_banded(band, lower=False, check_finite=False))
         except LinAlgError:
@@ -270,7 +263,7 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label,
         prev_res = res
 
         blocks = problem.hessian_blocks(state.lu, state.fv, state.gv)
-        factor = _factor_spd(problem.hessian_matrix(blocks))
+        factor = _factor_spd(problem.hessian_band(blocks))
         step = factor.solve(-state.grad)
         if step @ state.grad >= 0.0:
             step = -step if step @ state.grad > 0.0 else -state.grad
@@ -521,7 +514,6 @@ def penalized_solve(
     clamp = np.asarray(clamp, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     problem = _StageProblem(op, supremand, clamp, p)
-    n_eq, n_comp = problem.n_eq, problem.n_comp
     n_int = op.n_interior
     t_int = target[op.interior_idx].ravel()
     x = op.interior_dofs(target)
@@ -531,7 +523,6 @@ def penalized_solve(
     if peak <= 0.0:
         return op.with_interior_dofs(clamp, x)
     problem.scale = peak
-    eye = sp.identity(op.free_matrix.shape[1], format="csr")
 
     def total_objective(xv):
         _, fvals = problem.evaluate(xv)
@@ -557,8 +548,10 @@ def penalized_solve(
             break
 
         blocks = problem.hessian_blocks(lu, fv, gv)
-        hess = factor * problem.hessian_matrix(blocks) + eye / n_int
-        step = _factor_spd(hess).solve(-grad)
+        band = problem.hessian_band(blocks)
+        band *= factor
+        band[-1] += 1.0 / n_int
+        step = _factor_spd(band).solve(-grad)
         if step @ grad >= 0.0:
             step = -grad
         t = 1.0

@@ -79,9 +79,6 @@ class Grid:
             mask &= (idx[:, a] >= 1) & (idx[:, a] <= m - 2)
         return mask
 
-    def clamp_mask(self):
-        return ~self.interior_mask()
-
     def ravel_index(self, idx):
         """Flat node id(s) for lattice multi-indices, shape (..., dim)."""
         idx = np.asarray(idx)

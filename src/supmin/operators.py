@@ -14,6 +14,7 @@ binding for sup-norm energies.  The free unknowns remain the nodes at
 distance >= 2.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +48,6 @@ class DiscreteOperator:
     def eq_coords(self):
         return self.grid.coords()[self.eq_idx]
 
-    def scatter(self, eq_values):
-        """Embed equation-node values into a full field, zeros elsewhere."""
-        out = np.zeros((self.grid.n_nodes, self.n_components))
-        out[self.eq_idx] = eq_values
-        return out
-
     def interior_dofs(self, u):
         return np.asarray(u)[self.interior_idx].ravel()
 
@@ -68,6 +63,64 @@ class DiscreteOperator:
     def operator_scale(self):
         """Infinity-norm of the transposed free-column matrix (max column abs sum)."""
         return float(np.max(np.abs(self.free_matrix).sum(axis=0)))
+
+    @functools.cached_property
+    def hessian_pattern(self):
+        """Band scatter pattern of L^T D L, built on first use and kept on the operator."""
+        return _hessian_pattern(self.free_matrix, self.n_components)
+
+
+@dataclass(frozen=True)
+class HessianPattern:
+    """Where the nodal products of L^T D L land in upper band storage.
+
+    The N rows of equation node e touch K free columns (fewer are padded with
+    zero rows); coeffs[e] holds their (K, N) free_matrix entries, so the node
+    contributes coeffs[e] @ D_e @ coeffs[e].T to the Hessian.  band_index maps
+    each entry (e, k, l) of those (n_eq, K, K) products to its flat position
+    in the (bandwidth + 1, n_dofs) upper band, band[bandwidth + i - j, j] =
+    H[i, j]; lower-triangle and padding pairs go to the trash slot
+    (bandwidth + 1) * n_dofs just past the band.
+    """
+
+    coeffs: np.ndarray      # (n_eq, K, N)
+    band_index: np.ndarray  # (n_eq * K * K,)
+    bandwidth: int
+    n_dofs: int
+
+
+def _hessian_pattern(free_matrix, n_comp):
+    """Build the HessianPattern of a free-column matrix, dropping explicit zeros."""
+    mat = free_matrix.tocoo()
+    keep = mat.data != 0.0
+    rows, cols, vals = mat.row[keep], mat.col[keep], mat.data[keep]
+    n_eq = mat.shape[0] // n_comp
+    n_dofs = mat.shape[1]
+    # distinct (node, column) pairs, node-major with ascending columns
+    keys, slot = np.unique(
+        (rows // n_comp).astype(np.int64) * n_dofs + cols, return_inverse=True
+    )
+    node, col = np.divmod(keys, n_dofs)
+    counts = np.bincount(node, minlength=n_eq)
+    first = np.cumsum(counts) - counts
+    pos = np.arange(keys.size) - first[node]
+    k = int(counts.max(initial=0))
+    coeffs = np.zeros((n_eq, k, n_comp))
+    coeffs[node[slot], pos[slot], rows % n_comp] = vals
+    used = counts > 0
+    last = first + counts - 1
+    bw = int(np.max(col[last[used]] - col[first[used]], initial=0))
+
+    col_of = np.full((n_eq, k), -1, dtype=np.int64)
+    col_of[node, pos] = col
+    ci = col_of[:, :, None]
+    cj = col_of[:, None, :]
+    band_index = np.where(
+        (ci >= 0) & (ci <= cj), (bw + ci - cj) * n_dofs + cj, (bw + 1) * n_dofs
+    )
+    return HessianPattern(
+        coeffs=coeffs, band_index=band_index.ravel(), bandwidth=bw, n_dofs=n_dofs
+    )
 
 
 def assemble_operator(grid, tensor):

@@ -1,8 +1,9 @@
 """Pointwise costs F(x, xi), their calculus, and the gradient-ray map they induce.
 
 The map sending xi to F(x, xi) * F_xi / |F_xi| pairs each cost level with the
-direction of steepest increase; its inverse recovers xi from a target vector
-and is the workhorse of the optimality-system verifier.  Costs must vanish at
+direction of steepest increase; the optimality-system verifier evaluates it
+(duality_map_field) on the stage field, and its inverse (duality_map_inverse)
+recovers xi from a target vector.  Costs must vanish at
 the origin, be strictly convex in xi, and obey two-sided quadratic growth
 with a declared constant c:  F >= |xi|^2 / c  and  |F_xi| <= c |xi|.
 """

@@ -211,3 +211,20 @@ def test_boundary_file_round_trip(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     entries, _ = read_report(out)
     assert float(entries["e_inf_estimate"]) == pytest.approx(16.0, rel=0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_boundary_file_nonfinite_is_config_error(tmp_path, capsys, bad):
+    t = np.linspace(0.0, 1.0, 31)
+    table = (2 * t**3 - 3 * t**2 + t).reshape(-1, 1)
+    table[7, 0] = bad
+    data_path = tmp_path / "boundary.dat"
+    np.savetxt(data_path, table)
+    text = (
+        "domain.dim = 1\ndomain.nodes = 31\nbc.kind = file\n"
+        f"bc.file = {data_path}\nschedule.p_max = 128\n"
+    )
+    cfg = write(tmp_path, "file.cfg", text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "bc.file" in err and "row 8" in err

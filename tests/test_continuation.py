@@ -1,6 +1,9 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from conftest import log_domain_power_mean, lp_min_max_abs, make_1d_problem
 
@@ -12,7 +15,9 @@ from supmin import (
     WeightedPowerNorm,
     apply_operator,
     assemble_operator,
+    block_diagonal_tensor,
     continuation_solve,
+    det_coupled_tensor,
     dual_field,
     geometric_schedule,
     identity_tensor,
@@ -316,10 +321,12 @@ def test_stage_rows_report_stalled():
     assert default.rows[0].stalled is False
 
 
-def _stage_hessian_problem(shape, n_comp, seed):
+def _stage_hessian_problem(shape, n_comp, seed, tensor=None):
     """A stage problem on a small grid plus random SPD nodal blocks for it."""
     grid = Grid(shape)
-    op = assemble_operator(grid, identity_tensor(len(shape), n_comp))
+    if tensor is None:
+        tensor = identity_tensor(len(shape), n_comp)
+    op = assemble_operator(grid, tensor)
     problem = _StageProblem(op, WeightedPowerNorm(n_comp, q=2.0),
                             np.zeros((grid.n_nodes, n_comp)), 2.0)
     m = np.random.default_rng(seed).standard_normal((op.n_eq, n_comp, n_comp))
@@ -327,15 +334,51 @@ def _stage_hessian_problem(shape, n_comp, seed):
     return problem, blocks
 
 
+def _dense_hessian(op, blocks):
+    """L^T D L from the dense free-column matrix and a block-diagonal D."""
+    mat = op.free_matrix.toarray()
+    return mat.T @ block_diag(*blocks) @ mat
+
+
+def _upper_band(dense, bw):
+    """LAPACK upper band storage, band[bw + i - j, j] = dense[i, j]."""
+    n = dense.shape[0]
+    band = np.zeros((bw + 1, n))
+    for k in range(bw + 1):
+        band[bw - k, k:] = np.diagonal(dense, k)
+    return band
+
+
+@pytest.mark.parametrize("shape,n_comp,tensor,zero_nodes", [
+    ((21,), 1, None, False),
+    ((11, 11), 2, None, False),
+    ((11, 11), 2, det_coupled_tensor(1.0), False),
+    ((11, 12), 2, block_diagonal_tensor([np.eye(2), [[2.0, 0.5], [0.5, 1.0]]]), False),
+    ((21,), 1, None, True),
+    ((11, 11), 2, det_coupled_tensor(1.0), True),
+])
+def test_hessian_band_matches_dense(shape, n_comp, tensor, zero_nodes):
+    problem, blocks = _stage_hessian_problem(shape, n_comp, seed=2, tensor=tensor)
+    if zero_nodes:
+        blocks[::3] = 0.0
+    dense = _dense_hessian(problem.op, blocks)
+    band = problem.hessian_band(blocks)
+    bw = problem.op.hessian_pattern.bandwidth
+    assert band.shape == (bw + 1, dense.shape[0])
+    # every nonzero of the Hessian lies inside the band
+    assert not np.any(np.triu(dense, bw + 1))
+    np.testing.assert_allclose(band, _upper_band(dense, bw),
+                               rtol=0.0, atol=1e-12 * np.max(np.abs(dense)))
+
+
 @pytest.mark.parametrize("shape,n_comp", [((21,), 1), ((11, 11), 2)])
 def test_factor_spd_matches_dense_solve(shape, n_comp):
     problem, blocks = _stage_hessian_problem(shape, n_comp, seed=3)
-    hess = problem.hessian_matrix(blocks)
-    dense = hess.toarray()
+    dense = _dense_hessian(problem.op, blocks)
     shift = 1e-14 * np.max(np.abs(np.diag(dense)))
     rhs = np.random.default_rng(4).standard_normal(dense.shape[0])
     ref = np.linalg.solve(dense + shift * np.eye(dense.shape[0]), rhs)
-    step = _factor_spd(hess).solve(rhs)
+    step = _factor_spd(problem.hessian_band(blocks)).solve(rhs)
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -356,29 +399,60 @@ def factor_attempts(monkeypatch):
 def test_factor_spd_lifts_singular_hessian(factor_attempts):
     problem, blocks = _stage_hessian_problem((11, 11), 2, seed=5)
     blocks[::2] = 0.0
-    psd = problem.hessian_matrix(blocks)
-    assert np.linalg.matrix_rank(psd.toarray()) < psd.shape[0]
+    psd = problem.hessian_band(blocks)
+    dense = _dense_hessian(problem.op, blocks)
+    assert np.linalg.matrix_rank(dense) < dense.shape[0]
     # the same Hessian pushed below PSD by a roundoff-sized negative part
     blocks[::2] = -1e-10 * np.eye(2)
-    indefinite = problem.hessian_matrix(blocks)
-    rhs = np.random.default_rng(6).standard_normal(psd.shape[0])
-    for hess, min_attempts in ((psd, 1), (indefinite, 2)):
+    indefinite = problem.hessian_band(blocks)
+    rhs = np.random.default_rng(6).standard_normal(dense.shape[0])
+    for band, min_attempts in ((psd, 1), (indefinite, 2)):
         factor_attempts.clear()
-        step = _factor_spd(hess).solve(rhs)
+        step = _factor_spd(band).solve(rhs)
         assert np.all(np.isfinite(step))
         assert step @ rhs > 0.0
         assert len(factor_attempts) >= min_attempts
 
 
 def test_factor_spd_rejects_nonfinite_and_indefinite(factor_attempts):
-    hess = sp.identity(6, format="lil")
+    hess = np.eye(6)
     hess[2, 3] = hess[3, 2] = np.nan
     with pytest.raises(NoConvergence):
-        _factor_spd(hess.tocsr())
+        _factor_spd(_upper_band(hess, 1))
     assert not factor_attempts
     with pytest.raises(NoConvergence, match="every regularization level"):
-        _factor_spd(-2.0 * sp.identity(6, format="csr"))
+        _factor_spd(_upper_band(-2.0 * np.eye(6), 0))
     assert len(factor_attempts) == 8
+
+
+def test_stages_share_one_hessian_pattern(monkeypatch):
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    assert "hessian_pattern" not in vars(op)  # built lazily, not by assembly
+    patterns = []
+    hessian_band = _StageProblem.hessian_band
+
+    def recording(self, blocks):
+        band = hessian_band(self, blocks)
+        patterns.append(self.op.hessian_pattern)
+        return band
+
+    monkeypatch.setattr(_StageProblem, "hessian_band", recording)
+    rep = continuation_solve(op, F, u0, p_max=64.0, verify=False)
+    assert len(rep.rows) > 1
+    assert len(patterns) > len(rep.rows)
+    assert all(pat is op.hessian_pattern for pat in patterns)
+
+
+def test_hessian_pattern_dies_with_operator():
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    continuation_solve(op, F, u0, p_max=16.0, verify=False)
+    assert "hessian_pattern" in vars(op)
+    ref = weakref.ref(op)
+    pattern_ref = weakref.ref(op.hessian_pattern)
+    del op
+    gc.collect()
+    assert ref() is None
+    assert pattern_ref() is None
 
 
 def test_penalized_solve_logs_line_search_failure(monkeypatch, caplog):

@@ -8,7 +8,7 @@ the same config and seed reproduces every byte.
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  unused; perfbench/tracer.py:146 patches this name
 
 import numpy as np
 
@@ -205,30 +205,22 @@ def cmd_sweep(args):
         raise ConfigError("sweep: at least one --config is required")
     cfgs = [_apply_overrides(load_config(path), args) for path in args.config]
     os.makedirs(args.out, exist_ok=True)
-    results = []
-
-    def one(k_cfg):
-        k, cfg = k_cfg
-        sub = os.path.join(args.out, config_hash(cfg))
-        try:
-            _run_single(cfg, sub)
-            return k, sub, EXIT_OK, ""
-        except VerificationFailure as exc:
-            return k, sub, EXIT_VERIFY, str(exc)
-        except ConfigError as exc:
-            return k, sub, EXIT_CONFIG, str(exc)
-        except SupminError as exc:
-            return k, sub, EXIT_SOLVER, str(exc)
-
-    with ThreadPoolExecutor(max_workers=min(4, len(cfgs))) as pool:
-        results = sorted(pool.map(one, enumerate(cfgs)))
-
     lines = []
     worst = EXIT_OK
-    for k, sub, code, message in results:
+    for path, cfg in zip(args.config, cfgs):
+        sub = os.path.join(args.out, config_hash(cfg))
+        code, message = EXIT_OK, ""
+        try:
+            _run_single(cfg, sub)
+        except VerificationFailure as exc:
+            code, message = EXIT_VERIFY, str(exc)
+        except ConfigError as exc:
+            code, message = EXIT_CONFIG, str(exc)
+        except SupminError as exc:
+            code, message = EXIT_SOLVER, str(exc)
         status = {EXIT_OK: "ok", EXIT_CONFIG: "config-error",
                   EXIT_SOLVER: "solver-error", EXIT_VERIFY: "verify-failure"}[code]
-        lines.append(f"{args.config[k]} -> {os.path.basename(sub)} : {status}"
+        lines.append(f"{path} -> {os.path.basename(sub)} : {status}"
                      + (f" ({message})" if message else ""))
         worst = max(worst, code)
     with open(os.path.join(args.out, "sweep.txt"), "w", encoding="utf-8") as fh:

@@ -23,7 +23,6 @@ Recognized keys (defaults in parentheses):
     schedule.p                explicit comma-separated exponents (overrides p_max)
     schedule.p_max (4096)     geometric schedule 2, 4, ..., p_max
     tol.newton (1e-9)         stage adjoint-residual tolerance
-    tol.linear (1e-12)        clamped linear solve tolerance
     tol.bracket_stop (0.01)   stop when bracket width < this fraction of its midpoint
     tol.theta (0.1)           active-set threshold for the verifier
     tol.degenerate (1e-10)    zero-energy detection level
@@ -74,7 +73,6 @@ class RunConfig:
     schedule: tuple = None
     p_max: float = 4096.0
     newton_tol: float = 1e-9
-    linear_tol: float = 1e-12
     bracket_stop: float = 0.01
     theta: float = 0.1
     degenerate_tol: float = 1e-10
@@ -254,7 +252,6 @@ def parse_config(text):
     # tolerances and verification thresholds
     for attr, key, default, positive in (
         ("newton_tol", "tol.newton", "1e-9", True),
-        ("linear_tol", "tol.linear", "1e-12", True),
         ("bracket_stop", "tol.bracket_stop", "0.01", True),
         ("theta", "tol.theta", "0.1", True),
         ("degenerate_tol", "tol.degenerate", "1e-10", True),

@@ -15,6 +15,11 @@ with them; in 1D it is at most 3N - 1.  Objectives are rescaled by the running p
 so that arbitrarily large exponents stay inside floating-point range, and
 each stage reports the rigorous bracket [power mean, peak] around the
 limiting value.
+
+One damped Newton loop (_newton_loop) serves every minimization here; the
+problem object it runs supplies the objective, its gradient, the banded
+Newton matrix and the stopping residual.  _StageProblem is a continuation
+stage; _TetheredProblem adds the quadratic tether of penalized_solve.
 """
 
 import logging
@@ -32,6 +37,9 @@ log = logging.getLogger(__name__)
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
+# residual up to which a minimization stuck at its floating-point floor is
+# accepted (and reported as stalled) instead of failing
+STALL_ACCEPT = 1e-6
 
 
 def geometric_schedule(p_max, start=2.0):
@@ -98,12 +106,10 @@ def _ratio_power(fv, m, expo):
 
 def scaled_energy_gradient(op, supremand, u, p, scale):
     """Gradient over interior dofs of mean_i (F(x, (L_h u)_i) / scale)^p."""
-    lu = apply_operator(op, u)
-    coords = op.eq_coords()
-    fv = supremand.eval_field(coords, lu)
-    gv = supremand.grad_field(coords, lu)
-    w = (p / (op.n_eq * scale)) * _ratio_power(fv, scale, p - 1.0)[:, None] * gv
-    return op.free_matrix.T @ w.ravel()
+    problem = _StageProblem(op, supremand, u, p)
+    problem.scale = scale
+    x = op.interior_dofs(u)
+    return problem.grad_state(x, *problem.evaluate(x)).grad
 
 
 @dataclass
@@ -125,7 +131,7 @@ class _State:
 
 
 class _StageProblem:
-    """One fixed-exponent stage: peak-rescaled objective, gradient, Hessian blocks."""
+    """One fixed-exponent stage: peak-rescaled objective, gradient, Newton band, residual."""
 
     def __init__(self, op, supremand, clamp, p):
         self.op = op
@@ -135,6 +141,11 @@ class _StageProblem:
         self.n_eq = op.n_eq
         self.n_comp = op.n_components
         self.clamp_part = op.clamp_matrix @ clamp[op.clamp_idx].ravel()
+        self.op_scale = op.operator_scale()
+        # cost level of pure operator roundoff on the data scale: below this the
+        # zero-energy minimum has been reached exactly
+        lu_noise = 1e-13 * self.op_scale * max(1.0, float(np.max(np.abs(clamp))))
+        self.zero_floor = supremand.c * lu_noise**2
         self.scale = None
 
     def lu_of(self, x):
@@ -147,37 +158,88 @@ class _StageProblem:
         lu = self.lu_of(x)
         return lu, self.F.eval_field(self.coords, lu)
 
-    def objective(self, fv):
+    def objective(self, x, fv):
         with np.errstate(over="ignore"):
             powers = _ratio_power(fv, self.scale, self.p)
         return float(np.mean(powers))
 
-    def grad_state(self, lu, fv):
+    def grad_state(self, x, lu, fv):
         gv = self.F.grad_field(self.coords, lu)
         p, m = self.p, self.scale
         w = (p / (self.n_eq * m)) * _ratio_power(fv, m, p - 1.0)[:, None] * gv
         grad = self.op.free_matrix.T @ w.ravel()
         return _State(lu=lu, fv=fv, gv=gv, w=w, grad=grad)
 
-    def hessian_blocks(self, lu, fv, gv):
-        """Nodewise (N, N) blocks D_i of the exact objective Hessian L^T D L."""
+    def newton_band(self, state):
+        """Upper band storage of the exact objective Hessian L^T D L at state."""
         p, m = self.p, self.scale
-        hv = self.F.hess_field(self.coords, lu)
-        r_pm2 = _ratio_power(fv, m, p - 2.0)
-        r_pm1 = _ratio_power(fv, m, p - 1.0)
+        hv = self.F.hess_field(self.coords, state.lu)
+        r_pm2 = _ratio_power(state.fv, m, p - 2.0)
+        r_pm1 = _ratio_power(state.fv, m, p - 1.0)
+        gv = state.gv
         blocks = (p - 1.0) * r_pm2[:, None, None] * gv[:, :, None] * gv[:, None, :]
         blocks += (m * r_pm1)[:, None, None] * hv
         blocks *= p / (self.n_eq * m * m)
-        return blocks
+        return self.hessian_band(blocks)
 
     def hessian_band(self, blocks):
-        """Upper band storage of the Hessian L^T D L of the rescaled objective."""
+        """Upper band storage of L^T D L for nodewise (N, N) blocks D_i."""
         pattern = self.op.hessian_pattern
         v = pattern.coeffs
         local = v @ (blocks @ v.transpose(0, 2, 1))
         size = (pattern.bandwidth + 1) * pattern.n_dofs
         band = np.bincount(pattern.band_index, weights=local.ravel(), minlength=size + 1)
         return band[:size].reshape(pattern.bandwidth + 1, pattern.n_dofs)
+
+    def residual(self, state):
+        """||L^T w|| relative to the operator scale and the weight field size.
+
+        This is the quantity the optimality-system verifier reads off the dual
+        field, so it is the natural convergence measure for each stage.
+        """
+        wnorm = np.linalg.norm(state.w)
+        if wnorm == 0.0:
+            return 0.0
+        return float(np.linalg.norm(state.grad) / (self.op_scale * wnorm))
+
+
+class _TetheredProblem(_StageProblem):
+    """Power mean M_p(F) plus half the mean squared distance of the dofs to a target.
+
+    Gradient and Newton band chain the stage ones through M_p = scale * G^(1/p)
+    for the scaled mean G (dropping the rank-one curvature of the root), plus
+    the tether's; the residual is the gradient norm relative to the first one.
+    """
+
+    def __init__(self, op, supremand, clamp, p, target):
+        super().__init__(op, supremand, clamp, p)
+        self.t_int = target[op.interior_idx].ravel()
+        self.n_int = op.n_interior
+        self.g0 = None
+
+    def objective(self, x, fv):
+        return _power_mean(fv, self.p) + 0.5 * float(np.sum((x - self.t_int) ** 2)) / self.n_int
+
+    def _chain(self, fv):
+        """dM_p/dG = scale / p * G^(1/p - 1)."""
+        return self.scale / self.p * super().objective(None, fv) ** (1.0 / self.p - 1.0)
+
+    def grad_state(self, x, lu, fv):
+        state = super().grad_state(x, lu, fv)
+        state.grad = self._chain(fv) * state.grad + (x - self.t_int) / self.n_int
+        return state
+
+    def newton_band(self, state):
+        band = super().newton_band(state)
+        band *= self._chain(state.fv)
+        band[-1] += 1.0 / self.n_int
+        return band
+
+    def residual(self, state):
+        gnorm = float(np.linalg.norm(state.grad))
+        if self.g0 is None:
+            self.g0 = gnorm if gnorm > 0 else 1.0
+        return gnorm / self.g0
 
 
 class _BandedCholesky:
@@ -210,36 +272,23 @@ def _factor_spd(band):
     raise NoConvergence("Newton system factorization failed at every regularization level")
 
 
-def _adjoint_residual(state, op_scale):
-    """||L^T w|| relative to the operator scale and the weight field size.
+def _newton_loop(problem, x, tol, max_newton, best_effort, label):
+    """Damped Newton with Armijo backtracking on a stage or tethered problem.
 
-    This is the quantity the optimality-system verifier reads off the dual
-    field, so it is the natural convergence measure for each stage.
-    """
-    wnorm = np.linalg.norm(state.w)
-    if wnorm == 0.0:
-        return 0.0
-    return float(np.linalg.norm(state.grad) / (op_scale * wnorm))
-
-
-def _newton_loop(problem, x, tol, max_newton, best_effort, label,
-                 stall_accept=1e-6, zero_floor=0.0):
-    """Damped Newton on the peak-rescaled objective.
-
-    Stops when the adjoint-relative gradient residual drops below tol, or at
-    the floating-point floor of that residual.  Costs at or below zero_floor
-    count as an exact zero-energy minimum (the cost of operator roundoff on
-    the data scale).  Returns (x, iterations, residual, stalled).
+    The problem supplies the objective, its gradient, the banded Newton matrix
+    and the stopping residual; the loop keeps its scale at the running peak
+    cost.  Stops when the residual drops below tol, or at the floating-point
+    floor of that residual.  Costs at or below the problem's zero_floor count
+    as an exact zero-energy minimum.  Returns (x, iterations, residual, stalled).
     """
     lu, fv = problem.evaluate(x)
     peak = float(np.max(fv))
-    if peak <= zero_floor:
+    if peak <= problem.zero_floor:
         return x, 0, 0.0, False
     problem.scale = peak
-    op_scale = problem.op.operator_scale()
-    state = problem.grad_state(lu, fv)
-    obj = problem.objective(fv)
-    res = _adjoint_residual(state, op_scale)
+    state = problem.grad_state(x, lu, fv)
+    obj = problem.objective(x, fv)
+    res = problem.residual(state)
     stalled = False
     iters = 0
     prev_res = None
@@ -253,17 +302,15 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label,
         flat_obj = obj_gain <= 1e-14 * max(abs(obj), 1e-300)
         strikes = strikes + 1 if (flat_res and flat_obj) else 0
         if strikes >= 4:
-            if res <= stall_accept:
+            if res <= STALL_ACCEPT:
                 stalled = True
                 break
             raise NoConvergence(
-                f"{label}: adjoint residual stagnated at {res:.3e} "
-                f"(target {tol:.1e})"
+                f"{label}: residual stagnated at {res:.3e} (target {tol:.1e})"
             )
         prev_res = res
 
-        blocks = problem.hessian_blocks(state.lu, state.fv, state.gv)
-        factor = _factor_spd(problem.hessian_band(blocks))
+        factor = _factor_spd(problem.newton_band(state))
         step = factor.solve(-state.grad)
         if step @ state.grad >= 0.0:
             step = -step if step @ state.grad > 0.0 else -state.grad
@@ -274,41 +321,41 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label,
         for _ in range(MAX_BACKTRACKS):
             x_try = x + t * step
             lu, fv = problem.evaluate(x_try)
-            obj_try = problem.objective(fv)
+            obj_try = problem.objective(x_try, fv)
             if np.isfinite(obj_try) and obj_try <= obj + ARMIJO_C1 * t * slope:
                 x = x_try
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
-            if res <= stall_accept:
+            if res <= STALL_ACCEPT:
                 stalled = True
                 break
             raise LineSearchStall(
                 f"{label}: no decrease after {MAX_BACKTRACKS} halvings "
-                f"(adjoint residual {res:.3e})"
+                f"(residual {res:.3e})"
             )
 
-        # keep the objective scaled to the current peak: the adjoint residual
-        # is scale-invariant, so rescaling costs nothing but keeps the scaled
+        # keep the objective scaled to the current peak: the residual is
+        # scale-invariant, so rescaling costs nothing but keeps the scaled
         # objective inside [1/n_eq, 1] where Armijo comparisons stay meaningful;
         # the accepted trial's lu and fv are the state at the new x
         peak_now = float(np.max(fv))
-        if peak_now <= zero_floor:
+        if peak_now <= problem.zero_floor:
             return x, iters, 0.0, False
         rescaled = abs(np.log(peak_now) - np.log(problem.scale)) > 0.2
         if rescaled:
             problem.scale = peak_now
-            obj_try = problem.objective(fv)
-        state = problem.grad_state(lu, fv)
+            obj_try = problem.objective(x, fv)
+        state = problem.grad_state(x, lu, fv)
         obj_gain = np.inf if rescaled else obj - obj_try
         obj = obj_try
-        res = _adjoint_residual(state, op_scale)
+        res = problem.residual(state)
 
-    if stalled or best_effort or res <= stall_accept:
+    if stalled or best_effort or res <= STALL_ACCEPT:
         return x, iters, res, stalled or res > tol
     raise NoConvergence(
-        f"{label}: adjoint residual {res:.3e} above {tol:.1e} after {max_newton} iterations"
+        f"{label}: residual {res:.3e} above {tol:.1e} after {max_newton} iterations"
     )
 
 
@@ -332,14 +379,8 @@ def minimize_power_energy(
     u0 = clamp if warm_start is None else np.asarray(warm_start, dtype=np.float64)
     u0 = op.with_interior_dofs(clamp, op.interior_dofs(u0))
     problem = _StageProblem(op, supremand, clamp, p)
-    x = op.interior_dofs(u0)
-    # cost level of pure operator roundoff on the data scale: below this the
-    # zero-energy minimum has been reached exactly
-    lu_noise = 1e-13 * op.operator_scale() * max(1.0, float(np.max(np.abs(clamp))))
-    zero_floor = supremand.c * lu_noise**2
     x, iters, grad_rel, stalled = _newton_loop(
-        problem, x, tol, max_newton, best_effort, label=f"stage p={p:g}",
-        zero_floor=zero_floor,
+        problem, op.interior_dofs(u0), tol, max_newton, best_effort, label=f"stage p={p:g}"
     )
     u = op.with_interior_dofs(clamp, x)
     energy = power_mean_energy(op, supremand, u, p)
@@ -497,82 +538,16 @@ def continuation_solve(
     return report
 
 
-def penalized_solve(
-    op,
-    supremand,
-    clamp,
-    p,
-    target,
-    tol=1e-10,
-    max_newton=400,
-):
+def penalized_solve(op, supremand, clamp, p, target, tol=1e-10, max_newton=400):
     """Minimize power-mean energy plus half the mean squared distance to target.
 
     The quadratic tether makes the objective strictly convex; as p grows the
-    minimizers select the sup-energy minimizer closest to the target.
+    minimizers select the sup-energy minimizer closest to the target.  Fails
+    like a continuation stage: LineSearchStall or NoConvergence.
     """
     clamp = np.asarray(clamp, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    problem = _StageProblem(op, supremand, clamp, p)
-    n_int = op.n_interior
-    t_int = target[op.interior_idx].ravel()
-    x = op.interior_dofs(target)
-
-    _, fv = problem.evaluate(x)
-    peak = float(np.max(fv))
-    if peak <= 0.0:
-        return op.with_interior_dofs(clamp, x)
-    problem.scale = peak
-
-    def total_objective(xv):
-        _, fvals = problem.evaluate(xv)
-        energy = _power_mean(fvals, p)
-        pen = 0.5 * float(np.sum((xv - t_int) ** 2)) / n_int
-        return energy + pen
-
-    obj = total_objective(x)
-    g0 = None
-    for _ in range(max_newton):
-        state = problem.grad_state(*problem.evaluate(x))
-        lu, fv, gv, grad_scaled = state.lu, state.fv, state.gv, state.grad
-        g_mean = problem.objective(fv)
-        if g_mean <= 0.0:
-            break
-        # d(energy)/dx = scale * (1/p) * G^(1/p - 1) * dG/dx
-        factor = problem.scale / p * g_mean ** (1.0 / p - 1.0)
-        grad = factor * grad_scaled + (x - t_int) / n_int
-        gnorm = np.linalg.norm(grad)
-        if g0 is None:
-            g0 = gnorm if gnorm > 0 else 1.0
-        if gnorm <= tol * g0:
-            break
-
-        blocks = problem.hessian_blocks(lu, fv, gv)
-        band = problem.hessian_band(blocks)
-        band *= factor
-        band[-1] += 1.0 / n_int
-        step = _factor_spd(band).solve(-grad)
-        if step @ grad >= 0.0:
-            step = -grad
-        t = 1.0
-        slope = float(grad @ step)
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            x_try = x + t * step
-            obj_try = total_objective(x_try)
-            if np.isfinite(obj_try) and obj_try <= obj + ARMIJO_C1 * t * slope:
-                x, obj = x_try, obj_try
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            log.warning(
-                "penalized solve p=%g: no decrease after %d halvings "
-                "(gradient norm %.3e, target %.3e); returning the last iterate",
-                p, MAX_BACKTRACKS, gnorm, tol * g0,
-            )
-            break
-        peak_now = float(np.max(problem.evaluate(x)[1]))
-        if peak_now > 0.0 and abs(np.log(peak_now) - np.log(problem.scale)) > 0.2:
-            problem.scale = peak_now
+    problem = _TetheredProblem(op, supremand, clamp, p, target)
+    x, *_ = _newton_loop(problem, op.interior_dofs(target), tol, max_newton,
+                         best_effort=False, label=f"penalized p={p:g}")
     return op.with_interior_dofs(clamp, x)

@@ -91,8 +91,9 @@ def test_invalid_exponent_rejected(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    cfg = write(tmp_path, "bad.cfg", "domain.dim = 1\nnot.a.key = 3\n")
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    for key in ("not.a.key", "tol.linear"):
+        cfg = write(tmp_path, "bad.cfg", f"domain.dim = 1\n{key} = 3\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_verification_threshold_failure(tmp_path):

@@ -11,6 +11,7 @@ import supmin.continuation
 from supmin import (
     DegenerateEnergy,
     Grid,
+    LineSearchStall,
     NoConvergence,
     WeightedPowerNorm,
     apply_operator,
@@ -455,10 +456,27 @@ def test_hessian_pattern_dies_with_operator():
     assert pattern_ref() is None
 
 
-def test_penalized_solve_logs_line_search_failure(monkeypatch, caplog):
+def test_penalized_solve_raises_line_search_stall(monkeypatch):
     grid, op, F, u0 = make_1d_problem(nodes=41)
     monkeypatch.setattr(supmin.continuation, "MAX_BACKTRACKS", 0)
-    with caplog.at_level("WARNING", logger="supmin.continuation"):
-        v = penalized_solve(op, F, u0, 16.0, u0)
-    np.testing.assert_array_equal(v, u0)
-    assert "gradient norm" in caplog.text
+    with pytest.raises(LineSearchStall, match=r"penalized p=16: .*\(residual 1\.000e\+00\)"):
+        penalized_solve(op, F, u0, 16.0, u0)
+
+
+def test_penalized_solve_stops_at_residual_floor(bang_bang_problem, monkeypatch):
+    # the tethered residual bottoms out near 1e-8, above the default tol=1e-10;
+    # the shared Newton loop stops there instead of spending all max_newton
+    grid, op, F, u0 = bang_bang_problem
+    target = continuation_solve(op, F, u0, p_max=1024.0, verify=False).u
+    calls = []
+    factor = supmin.continuation._factor_spd
+
+    def counting(band):
+        calls.append(1)
+        return factor(band)
+
+    monkeypatch.setattr(supmin.continuation, "_factor_spd", counting)
+    for p in (16.0, 64.0, 256.0):
+        calls.clear()
+        penalized_solve(op, F, u0, p, target)
+        assert 0 < len(calls) <= 30

@@ -32,6 +32,9 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
+# rows of fields.dat formatted per write
+FIELDS_CHUNK_ROWS = 4096
+
 
 def _fmt(x):
     return format(float(x), ".17e")
@@ -138,34 +141,31 @@ def _write_report(path, cfg, report, oracle_row):
 
 def _write_fields(path, cfg, op, supremand, report):
     coords = op.grid.coords()
-    n_nodes = coords.shape[0]
+    n_nodes, dim = coords.shape
     n_comp = op.n_components
     lu_eq = apply_operator(op, report.u)
-    fv_eq = supremand.eval_field(op.eq_coords(), lu_eq)
-    lu = np.zeros((n_nodes, n_comp))
-    lu[op.eq_idx] = lu_eq
-    fv = np.zeros(n_nodes)
-    fv[op.eq_idx] = fv_eq
-    dual = np.zeros((n_nodes, n_comp))
-    dual[op.eq_idx] = report.f
+    # columns x, u, Lu, F, f; Lu, F and f are zero off the equation nodes
+    table = np.zeros((n_nodes, dim + 3 * n_comp + 1))
+    table[:, :dim] = coords
+    table[:, dim:dim + n_comp] = report.u
+    eq = op.eq_idx
+    table[eq, dim + n_comp:dim + 2 * n_comp] = lu_eq
+    table[eq, dim + 2 * n_comp] = supremand.eval_field(op.eq_coords(), lu_eq)
+    table[eq, dim + 2 * n_comp + 1:] = report.f
     headers = (
-        [f"x{a}" for a in range(coords.shape[1])]
+        [f"x{a}" for a in range(dim)]
         + [f"u{i}" for i in range(n_comp)]
         + [f"Lu{i}" for i in range(n_comp)]
         + ["F"]
         + [f"f{i}" for i in range(n_comp)]
     )
+    row_fmt = " ".join(["%.17e"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + " ".join(headers) + "\n")
-        for k in range(n_nodes):
-            row = (
-                list(coords[k])
-                + list(report.u[k])
-                + list(lu[k])
-                + [fv[k]]
-                + list(dual[k])
-            )
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        # bounded chunks: formatting the whole table at once holds all its text
+        for start in range(0, n_nodes, FIELDS_CHUNK_ROWS):
+            chunk = table[start:start + FIELDS_CHUNK_ROWS]
+            fh.write((row_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 def _oracle_for_config(cfg, supremand):

@@ -26,7 +26,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench/tracer.py:126 patches this name
 
 from .errors import DegenerateEnergy, LineSearchStall, NoConvergence
@@ -126,6 +126,7 @@ class _State:
     lu: np.ndarray
     fv: np.ndarray
     gv: np.ndarray
+    r_pm1: np.ndarray   # (F/m)^(p-1), shared by the gradient and the Newton band
     w: np.ndarray
     grad: np.ndarray
 
@@ -166,19 +167,19 @@ class _StageProblem:
     def grad_state(self, x, lu, fv):
         gv = self.F.grad_field(self.coords, lu)
         p, m = self.p, self.scale
-        w = (p / (self.n_eq * m)) * _ratio_power(fv, m, p - 1.0)[:, None] * gv
-        grad = self.op.free_matrix.T @ w.ravel()
-        return _State(lu=lu, fv=fv, gv=gv, w=w, grad=grad)
+        r_pm1 = _ratio_power(fv, m, p - 1.0)
+        w = (p / (self.n_eq * m)) * r_pm1[:, None] * gv
+        grad = self.op.free_matrix_t @ w.ravel()
+        return _State(lu=lu, fv=fv, gv=gv, r_pm1=r_pm1, w=w, grad=grad)
 
     def newton_band(self, state):
         """Upper band storage of the exact objective Hessian L^T D L at state."""
         p, m = self.p, self.scale
         hv = self.F.hess_field(self.coords, state.lu)
         r_pm2 = _ratio_power(state.fv, m, p - 2.0)
-        r_pm1 = _ratio_power(state.fv, m, p - 1.0)
         gv = state.gv
         blocks = (p - 1.0) * r_pm2[:, None, None] * gv[:, :, None] * gv[:, None, :]
-        blocks += (m * r_pm1)[:, None, None] * hv
+        blocks += (m * state.r_pm1)[:, None, None] * hv
         blocks *= p / (self.n_eq * m * m)
         return self.hessian_band(blocks)
 
@@ -249,14 +250,18 @@ class _BandedCholesky:
         self.band = band
 
     def solve(self, rhs):
-        return cho_solve_banded((self.band, False), rhs, check_finite=False)
+        x, info = dpbtrs(self.band, rhs)
+        if info < 0:
+            raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+        return x
 
 
 def _factor_spd(band):
     """Banded Cholesky of the (regularized) Hessian; lifts the shift until it factors.
 
     band is the LAPACK upper band storage of H, band[bw + i - j, j] = H[i, j];
-    its last (diagonal) row is overwritten with the shifted diagonal.
+    its last (diagonal) row is overwritten with the shifted diagonal.  dpbtrf
+    reports a non-positive leading minor as info > 0, which lifts the shift.
     """
     if not np.all(np.isfinite(band)):
         raise NoConvergence("Newton system has non-finite entries")
@@ -265,10 +270,12 @@ def _factor_spd(band):
     shift = 1e-14 * scale
     for _ in range(8):
         band[-1] = diag + shift
-        try:
-            return _BandedCholesky(cholesky_banded(band, lower=False, check_finite=False))
-        except LinAlgError:
-            shift *= 100.0
+        factor, info = dpbtrf(band)
+        if info == 0:
+            return _BandedCholesky(factor)
+        if info < 0:
+            raise ValueError(f"dpbtrf: illegal value in argument {-info}")
+        shift *= 100.0
     raise NoConvergence("Newton system factorization failed at every regularization level")
 
 

@@ -46,7 +46,14 @@ class DiscreteOperator:
         return self.interior_idx.size
 
     def eq_coords(self):
-        return self.grid.coords()[self.eq_idx]
+        """Coordinates of the equation nodes, shape (n_eq, dim); one read-only array."""
+        return self._eq_coords
+
+    @functools.cached_property
+    def _eq_coords(self):
+        coords = self.grid.coords()[self.eq_idx]
+        coords.flags.writeable = False
+        return coords
 
     def interior_dofs(self, u):
         return np.asarray(u)[self.interior_idx].ravel()
@@ -62,7 +69,16 @@ class DiscreteOperator:
 
     def operator_scale(self):
         """Infinity-norm of the transposed free-column matrix (max column abs sum)."""
+        return self._operator_scale
+
+    @functools.cached_property
+    def _operator_scale(self):
         return float(np.max(np.abs(self.free_matrix).sum(axis=0)))
+
+    @functools.cached_property
+    def free_matrix_t(self):
+        """CSR form of free_matrix.T, built on first use and kept on the operator."""
+        return self.free_matrix.T.tocsr()
 
     @functools.cached_property
     def hessian_pattern(self):

@@ -84,7 +84,7 @@ def verify_system(op, supremand, u, f, e_hat, theta=0.1):
     residual = phi[active] - e_hat * directions
     r_system = float(np.max(np.linalg.norm(residual, axis=1))) if active.any() else 0.0
 
-    adjoint = op.free_matrix.T @ f.ravel()
+    adjoint = op.free_matrix_t @ f.ravel()
     scale = op.operator_scale() * np.linalg.norm(f)
     r_harmonic = float(np.linalg.norm(adjoint) / scale) if scale > 0 else 0.0
 

@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
+import supmin.cli
 from supmin.cli import main
-from supmin.config import config_hash, parse_config
+from supmin.config import config_hash, load_config, parse_config
 
 SYMMETRIC_CFG = """
 # 1D least-peak-acceleration benchmark (coarse)
@@ -74,6 +75,41 @@ def test_run_is_bit_reproducible(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out_b)]) == 0
     for name in ("report.txt", "fields.dat", "oracle.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+VECTOR_CFG = """
+domain.dim = 2
+domain.nodes = 11
+field.components = 2
+tensor.kind = det_coupled
+tensor.gamma = 1
+bc.kind = sinusoidal
+schedule.p_max = 64
+"""
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+def test_fields_file_matches_reference_rows(tmp_path, monkeypatch, chunk_rows):
+    if chunk_rows is not None:
+        monkeypatch.setattr(supmin.cli, "FIELDS_CHUNK_ROWS", chunk_rows)
+    cfg = write(tmp_path, "vec.cfg", VECTOR_CFG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    # reference: the same (bit-reproducible) solve, one format() per value
+    op, F, _, report = supmin.cli._solve_from_config(load_config(cfg))
+    coords = op.grid.coords()
+    lu = np.zeros((coords.shape[0], 2))
+    fv = np.zeros(coords.shape[0])
+    dual = np.zeros((coords.shape[0], 2))
+    lu[op.eq_idx] = supmin.apply_operator(op, report.u)
+    fv[op.eq_idx] = F.eval_field(op.eq_coords(), lu[op.eq_idx])
+    dual[op.eq_idx] = report.f
+    lines = ["# x0 x1 u0 u1 Lu0 Lu1 F f0 f1"]
+    for k in range(coords.shape[0]):
+        row = [*coords[k], *report.u[k], *lu[k], fv[k], *dual[k]]
+        lines.append(" ".join(format(float(v), ".17e") for v in row))
+    assert np.any(dual < 0.0) and np.any(lu != 0.0)
+    assert (out / "fields.dat").read_text() == "\n".join(lines) + "\n"
 
 
 def test_run_zero_energy_branch(tmp_path):

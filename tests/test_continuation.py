@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, cho_solve_banded, cholesky_banded
 
 from conftest import log_domain_power_mean, lp_min_max_abs, make_1d_problem
 
@@ -383,17 +383,31 @@ def test_factor_spd_matches_dense_solve(shape, n_comp):
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("shape,n_comp", [((21,), 1), ((11, 11), 2)])
+def test_factor_spd_matches_scipy_banded_cholesky(shape, n_comp):
+    # _factor_spd calls LAPACK dpbtrf/dpbtrs itself; the scipy wrappers run the
+    # same routines, so factor and step agree bit for bit
+    problem, blocks = _stage_hessian_problem(shape, n_comp, seed=7)
+    band = problem.hessian_band(blocks)
+    shifted = band.copy()
+    shifted[-1] += 1e-14 * np.max(np.abs(band[-1]))
+    rhs = np.random.default_rng(8).standard_normal(band.shape[1])
+    ref = cho_solve_banded((cholesky_banded(shifted), False), rhs)
+    step = _factor_spd(band).solve(rhs)
+    assert np.array_equal(step, ref)
+
+
 @pytest.fixture
 def factor_attempts(monkeypatch):
     """Record every banded Cholesky attempt made by _factor_spd."""
     attempts = []
-    factor = supmin.continuation.cholesky_banded
+    factor = supmin.continuation.dpbtrf
 
     def counting(*args, **kwargs):
         attempts.append(1)
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(supmin.continuation, "cholesky_banded", counting)
+    monkeypatch.setattr(supmin.continuation, "dpbtrf", counting)
     return attempts
 
 
@@ -426,34 +440,45 @@ def test_factor_spd_rejects_nonfinite_and_indefinite(factor_attempts):
     assert len(factor_attempts) == 8
 
 
-def test_stages_share_one_hessian_pattern(monkeypatch):
+def test_factor_spd_raises_on_illegal_argument(monkeypatch):
+    monkeypatch.setattr(supmin.continuation, "dpbtrf", lambda band: (band, -1))
+    with pytest.raises(ValueError, match="argument 1"):
+        _factor_spd(np.ones((1, 4)))
+
+
+# operator invariants cached on DiscreteOperator at first use
+OPERATOR_CACHES = ("hessian_pattern", "free_matrix_t", "_eq_coords", "_operator_scale")
+
+
+def test_stages_share_operator_caches(monkeypatch):
     grid, op, F, u0 = make_1d_problem(nodes=41)
-    assert "hessian_pattern" not in vars(op)  # built lazily, not by assembly
-    patterns = []
+    assert not set(OPERATOR_CACHES) & set(vars(op))  # built lazily, not by assembly
+    seen = []
     hessian_band = _StageProblem.hessian_band
 
     def recording(self, blocks):
         band = hessian_band(self, blocks)
-        patterns.append(self.op.hessian_pattern)
+        seen.append((self.op.hessian_pattern, self.op.free_matrix_t, self.coords,
+                     self.op_scale))
         return band
 
     monkeypatch.setattr(_StageProblem, "hessian_band", recording)
     rep = continuation_solve(op, F, u0, p_max=64.0, verify=False)
     assert len(rep.rows) > 1
-    assert len(patterns) > len(rep.rows)
-    assert all(pat is op.hessian_pattern for pat in patterns)
+    assert len(seen) > len(rep.rows)
+    cached = (op.hessian_pattern, op.free_matrix_t, op.eq_coords(), op.operator_scale())
+    assert all(a is b for objs in seen for a, b in zip(objs, cached))
 
 
-def test_hessian_pattern_dies_with_operator():
+def test_operator_caches_die_with_operator():
     grid, op, F, u0 = make_1d_problem(nodes=41)
     continuation_solve(op, F, u0, p_max=16.0, verify=False)
-    assert "hessian_pattern" in vars(op)
-    ref = weakref.ref(op)
-    pattern_ref = weakref.ref(op.hessian_pattern)
+    assert set(OPERATOR_CACHES) <= set(vars(op))
+    refs = [weakref.ref(obj) for obj in (op, op.hessian_pattern, op.free_matrix_t,
+                                         op.eq_coords())]
     del op
     gc.collect()
-    assert ref() is None
-    assert pattern_ref() is None
+    assert all(ref() is None for ref in refs)
 
 
 def test_penalized_solve_raises_line_search_stall(monkeypatch):

@@ -207,3 +207,21 @@ def test_linear_solve_failure_on_exhausted_budget():
     clamp = (grid.coords()[:, 0] ** 3).reshape(-1, 1)
     with pytest.raises(LinearSolveFailure):
         dirichlet_solve(op, np.zeros((op.n_interior, 1)), clamp, max_iter=2)
+
+
+def test_operator_caches_are_shared_and_exact():
+    grid = Grid((9, 10))
+    op = assemble_operator(grid, det_coupled_tensor(1.0))
+    coords = op.eq_coords()
+    assert op.eq_coords() is coords
+    np.testing.assert_array_equal(coords, grid.coords()[op.eq_idx])
+    with pytest.raises(ValueError):
+        coords[0, 0] = 1.0
+    mat_t = op.free_matrix_t
+    assert op.free_matrix_t is mat_t
+    assert mat_t.format == "csr"
+    assert mat_t.shape == op.free_matrix.T.shape
+    assert (mat_t != op.free_matrix.T).nnz == 0
+    w = np.random.default_rng(0).standard_normal(op.free_matrix.shape[0])
+    assert np.array_equal(mat_t @ w, op.free_matrix.T @ w)
+    assert op.operator_scale() == float(np.max(np.abs(op.free_matrix).sum(axis=0)))

@@ -14,6 +14,7 @@ import numpy as np
 
 from .bangbang import ClampedBC1D, solve_bang_bang
 from .config import (
+    _parse_numbers,
     boundary_profile,
     build_grid,
     build_supremand,
@@ -21,10 +22,11 @@ from .config import (
     config_hash,
     load_config,
     oracle_endpoint_data,
+    parse_config,
 )
-from .continuation import continuation_solve
 from .errors import ConfigError, SupminError, VerificationFailure
-from .operators import apply_operator, assemble_operator
+from .estimator import SupremalMinimizer
+from .operators import apply_operator
 from .tensors import LEGENDRE_HADAMARD, check_legendre, check_legendre_hadamard
 
 EXIT_OK = 0
@@ -41,43 +43,40 @@ def _fmt(x):
 
 
 def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = int(args.seed)
-        cfg.items["seed"] = str(cfg.seed)
-    if getattr(args, "p_max", None) is not None:
-        cfg.p_max = float(args.p_max)
-        cfg.schedule = None
-        cfg.items["schedule.p_max"] = repr(cfg.p_max)
-        cfg.items.pop("schedule.p", None)
-    if getattr(args, "nodes", None) is not None:
-        nodes = tuple(int(v) for v in str(args.nodes).split(","))
-        if len(nodes) not in (1, cfg.dim):
-            raise ConfigError(f"--nodes: expected 1 or {cfg.dim} values, got {args.nodes!r}")
-        cfg.nodes = tuple(int(v) for v in np.resize(nodes, cfg.dim))
-        if any(m < 5 for m in cfg.nodes):
-            raise ConfigError(f"--nodes: need at least 5 nodes per axis, got {cfg.nodes}")
+    """Write the override flags into the config text and validate it like a file."""
+    items = dict(cfg.items)
+    if args.seed is not None:
+        items["seed"] = str(args.seed)
+    if args.p_max is not None:
+        items["schedule.p_max"] = repr(float(args.p_max))
+        items.pop("schedule.p", None)
+    if args.nodes is not None:
+        items["domain.nodes"] = args.nodes
+    cfg = parse_config("\n".join(f"{k} = {v}" for k, v in items.items()))
+    if args.nodes is not None:
+        # a single --nodes value is stored per axis, as it is solved
         cfg.items["domain.nodes"] = ",".join(str(m) for m in cfg.nodes)
     return cfg
 
 
 def _solve_from_config(cfg):
-    grid = build_grid(cfg)
-    tensor = build_tensor(cfg)
-    supremand = build_supremand(cfg)
-    clamp = boundary_profile(cfg, grid.coords())
-    op = assemble_operator(grid, tensor)
-    report = continuation_solve(
-        op,
-        supremand,
-        clamp,
-        schedule=cfg.schedule,
+    """Fitted SupremalMinimizer for a parsed config."""
+    est = SupremalMinimizer(
+        nodes=cfg.nodes,
+        lo=cfg.lo,
+        hi=cfg.hi,
+        components=cfg.components,
+        tensor=build_tensor(cfg),
+        supremand=build_supremand(cfg),
+        p_schedule=cfg.schedule,
         p_max=cfg.p_max,
         newton_tol=cfg.newton_tol,
         bracket_stop=cfg.bracket_stop,
         theta=cfg.theta,
         degenerate_tol=cfg.degenerate_tol,
+        seed=cfg.seed,
     )
-    return op, supremand, clamp, report
+    return est.fit(lambda coords: boundary_profile(cfg, coords))
 
 
 def _check_report(cfg, report):
@@ -99,30 +98,20 @@ def _check_report(cfg, report):
         )
 
 
-def _write_report(path, cfg, report, oracle_row):
-    lines = []
-    lines.append("status = ok")
-    lines.append(f"config_hash = {config_hash(cfg)}")
-    lines.append(f"seed = {cfg.seed}")
-    lines.append(f"dim = {cfg.dim}")
-    lines.append(f"nodes = {','.join(str(m) for m in cfg.nodes)}")
-    lines.append(f"components = {cfg.components}")
-    lines.append(f"degenerate = {'true' if report.degenerate else 'false'}")
-    lines.append("p_table_columns = p energy peak newton_iters grad_norm cv")
+def _write_report(out_dir, cfg, report, oracle_row):
+    lines = [
+        "status = ok",
+        f"config_hash = {config_hash(cfg)}",
+        f"seed = {cfg.seed}",
+        f"dim = {cfg.dim}",
+        f"nodes = {','.join(str(m) for m in cfg.nodes)}",
+        f"components = {cfg.components}",
+        f"degenerate = {'true' if report.degenerate else 'false'}",
+        "p_table_columns = p energy peak newton_iters grad_norm cv",
+    ]
     for row in report.rows:
-        lines.append(
-            "p_row = "
-            + " ".join(
-                [
-                    _fmt(row.p),
-                    _fmt(row.energy),
-                    _fmt(row.peak),
-                    str(row.newton_iters),
-                    _fmt(row.grad_norm),
-                    _fmt(row.cv),
-                ]
-            )
-        )
+        lines.append(" ".join(["p_row =", _fmt(row.p), _fmt(row.energy), _fmt(row.peak),
+                               str(row.newton_iters), _fmt(row.grad_norm), _fmt(row.cv)]))
     lines.append(f"e_inf_estimate = {_fmt(report.e_inf)}")
     lines.append(f"bracket_low = {_fmt(report.bracket[0])}")
     lines.append(f"bracket_high = {_fmt(report.bracket[1])}")
@@ -130,16 +119,11 @@ def _write_report(path, cfg, report, oracle_row):
         for key, value in report.verify.as_dict().items():
             lines.append(f"verify.{key} = {_fmt(value)}")
     if oracle_row is not None:
-        bb, e_oracle = oracle_row
-        lines.append(f"oracle.a = {_fmt(bb.a)}")
-        lines.append(f"oracle.s = {_fmt(bb.s)}")
-        lines.append(f"oracle.sigma = {bb.sigma}")
-        lines.append(f"oracle.e_inf = {_fmt(e_oracle)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines += ["oracle." + line for line in _oracle_text(*oracle_row).splitlines()]
+    _write_text(out_dir, "report.txt", "\n".join(lines) + "\n")
 
 
-def _write_fields(path, cfg, op, supremand, report):
+def _write_fields(path, op, supremand, report):
     coords = op.grid.coords()
     n_nodes, dim = coords.shape
     n_comp = op.n_components
@@ -168,6 +152,16 @@ def _write_fields(path, cfg, op, supremand, report):
             fh.write((row_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
+def _oracle_text(bb, e_oracle):
+    return f"a = {_fmt(bb.a)}\ns = {_fmt(bb.s)}\nsigma = {bb.sigma}\ne_inf = {_fmt(e_oracle)}\n"
+
+
+def _write_text(out_dir, name, text):
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _oracle_for_config(cfg, supremand):
     data = oracle_endpoint_data(cfg)
     if data is None:
@@ -179,18 +173,14 @@ def _oracle_for_config(cfg, supremand):
 
 def _run_single(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    op, supremand, clamp, report = _solve_from_config(cfg)
-    oracle_row = _oracle_for_config(cfg, supremand)
+    est = _solve_from_config(cfg)
+    report = est.report_
+    oracle_row = _oracle_for_config(cfg, est.supremand)
     _check_report(cfg, report)
-    _write_report(os.path.join(out_dir, "report.txt"), cfg, report, oracle_row)
-    _write_fields(os.path.join(out_dir, "fields.dat"), cfg, op, supremand, report)
+    _write_report(out_dir, cfg, report, oracle_row)
+    _write_fields(os.path.join(out_dir, "fields.dat"), est.operator_, est.supremand, report)
     if oracle_row is not None:
-        bb, e_oracle = oracle_row
-        with open(os.path.join(out_dir, "oracle.txt"), "w", encoding="utf-8") as fh:
-            fh.write(f"a = {_fmt(bb.a)}\n")
-            fh.write(f"s = {_fmt(bb.s)}\n")
-            fh.write(f"sigma = {bb.sigma}\n")
-            fh.write(f"e_inf = {_fmt(e_oracle)}\n")
+        _write_text(out_dir, "oracle.txt", _oracle_text(*oracle_row))
     return report
 
 
@@ -231,9 +221,10 @@ def cmd_sweep(args):
 
 def cmd_oracle(args):
     if args.bc is not None:
-        vals = tuple(float(v) for v in args.bc.split(","))
-        if len(vals) != 4:
-            raise ConfigError("--bc: expected x0,v0,x1,v1")
+        errors = []
+        vals = _parse_numbers(args.bc, "--bc", errors)
+        if errors or len(vals) != 4:
+            raise ConfigError(errors[0] if errors else "--bc: expected x0,v0,x1,v1")
         bb = solve_bang_bang(ClampedBC1D(*vals))
         e_oracle = bb.a**2
     else:
@@ -248,17 +239,10 @@ def cmd_oracle(args):
                 "q=2, constant weight, and a named analytic profile"
             )
         bb, e_oracle = row
-    text = (
-        f"a = {_fmt(bb.a)}\n"
-        f"s = {_fmt(bb.s)}\n"
-        f"sigma = {bb.sigma}\n"
-        f"e_inf = {_fmt(e_oracle)}\n"
-    )
+    text = _oracle_text(bb, e_oracle)
     print(text, end="")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "oracle.txt"), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, "oracle.txt", text)
     return EXIT_OK
 
 
@@ -282,9 +266,7 @@ def cmd_check_tensor(args):
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "tensor.txt"), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, "tensor.txt", text)
     if not declared_ok:
         raise VerificationFailure(
             f"declared lambda {tensor.lam} not supported by the measured constants"

@@ -29,6 +29,8 @@ Recognized keys (defaults in parentheses):
     check.r_system (0.05)     verification bound: r_system <= this * e_inf
     check.r_harmonic (1e-6)   verification bound on the adjoint residual
     seed (0)                  rng seed recorded with the run
+
+Every number must be finite; a nan or inf value is a config error.
 """
 
 import hashlib
@@ -82,20 +84,16 @@ class RunConfig:
     items: dict = field(default_factory=dict)  # canonical parsed key/value text
 
 
-def _parse_floats(value, key, errors):
+def _parse_numbers(value, key, errors, cast=float):
     try:
-        return tuple(float(v) for v in str(value).split(","))
+        vals = tuple(cast(v) for v in str(value).split(","))
     except ValueError:
-        errors.append(f"{key}: expected comma-separated numbers, got {value!r}")
-        return ()
-
-
-def _parse_ints(value, key, errors):
-    try:
-        return tuple(int(v) for v in str(value).split(","))
-    except ValueError:
-        errors.append(f"{key}: expected comma-separated integers, got {value!r}")
-        return ()
+        vals = ()
+    if vals and (cast is int or np.all(np.isfinite(vals))):
+        return vals
+    kind = "integers" if cast is int else "finite numbers"
+    errors.append(f"{key}: expected comma-separated {kind}, got {value!r}")
+    return ()
 
 
 def parse_config(text):
@@ -124,17 +122,26 @@ def parse_config(text):
         known.add(key)
         return items.get(key, default)
 
+    def number(key, default, cast=float):
+        """One number under key, or default when the key is absent or invalid."""
+        raw = take(key)
+        if raw is None:
+            return default
+        vals = _parse_numbers(raw, key, errors, cast)
+        if len(vals) == 1:
+            return vals[0]
+        if vals:
+            errors.append(f"{key}: expected one number, got {raw!r}")
+        return default
+
     # domain
-    try:
-        cfg.dim = int(take("domain.dim", "1"))
-    except ValueError:
-        errors.append(f"domain.dim: not an integer: {items['domain.dim']!r}")
+    cfg.dim = number("domain.dim", 1, int)
     if cfg.dim not in (1, 2):
         errors.append(f"domain.dim: must be 1 or 2, got {cfg.dim}")
         cfg.dim = 1
-    cfg.lo = _parse_floats(take("domain.lo", "0"), "domain.lo", errors)
-    cfg.hi = _parse_floats(take("domain.hi", "1"), "domain.hi", errors)
-    cfg.nodes = _parse_ints(take("domain.nodes", "101"), "domain.nodes", errors)
+    cfg.lo = _parse_numbers(take("domain.lo", "0"), "domain.lo", errors)
+    cfg.hi = _parse_numbers(take("domain.hi", "1"), "domain.hi", errors)
+    cfg.nodes = _parse_numbers(take("domain.nodes", "101"), "domain.nodes", errors, int)
     for key, val in (("domain.lo", cfg.lo), ("domain.hi", cfg.hi), ("domain.nodes", cfg.nodes)):
         if val and len(val) not in (1, cfg.dim):
             errors.append(f"{key}: expected 1 or {cfg.dim} entries, got {len(val)}")
@@ -146,10 +153,7 @@ def parse_config(text):
     if any(b <= a for a, b in zip(cfg.lo, cfg.hi)):
         errors.append(f"domain extents empty: lo={cfg.lo} hi={cfg.hi}")
 
-    try:
-        cfg.components = int(take("field.components", "1"))
-    except ValueError:
-        errors.append(f"field.components: not an integer: {items['field.components']!r}")
+    cfg.components = number("field.components", 1, int)
     if cfg.components < 1:
         errors.append(f"field.components: must be >= 1, got {cfg.components}")
 
@@ -158,7 +162,7 @@ def parse_config(text):
     if cfg.tensor_kind not in _TENSOR_KINDS:
         errors.append(f"tensor.kind: unknown kind {cfg.tensor_kind!r}, expected one of {_TENSOR_KINDS}")
     if cfg.tensor_kind == "constant":
-        cfg.tensor_entries = _parse_floats(take("tensor.entries", ""), "tensor.entries", errors)
+        cfg.tensor_entries = _parse_numbers(take("tensor.entries", ""), "tensor.entries", errors)
         want = cfg.dim * cfg.dim * cfg.components * cfg.components
         if len(cfg.tensor_entries) != want:
             errors.append(f"tensor.entries: expected {want} numbers, got {len(cfg.tensor_entries)}")
@@ -166,7 +170,7 @@ def parse_config(text):
         blocks = []
         raw = take("tensor.blocks", "")
         for k, chunk in enumerate(str(raw).split(";")):
-            vals = _parse_floats(chunk, f"tensor.blocks[{k}]", errors)
+            vals = _parse_numbers(chunk, f"tensor.blocks[{k}]", errors)
             if len(vals) != cfg.dim * cfg.dim:
                 errors.append(f"tensor.blocks[{k}]: expected {cfg.dim * cfg.dim} numbers, got {len(vals)}")
             blocks.append(vals)
@@ -176,39 +180,21 @@ def parse_config(text):
     if cfg.tensor_kind == "det_coupled":
         if cfg.dim != 2 or cfg.components != 2:
             errors.append("tensor.kind=det_coupled requires domain.dim=2 and field.components=2")
-        try:
-            cfg.tensor_gamma = float(take("tensor.gamma", "1"))
-        except ValueError:
-            errors.append(f"tensor.gamma: not a number: {items['tensor.gamma']!r}")
-    lam_raw = take("tensor.lambda")
-    if lam_raw is not None:
-        try:
-            cfg.tensor_lam = float(lam_raw)
-        except ValueError:
-            errors.append(f"tensor.lambda: not a number: {lam_raw!r}")
+        cfg.tensor_gamma = number("tensor.gamma", 1.0)
+    cfg.tensor_lam = number("tensor.lambda", None)
 
     # supremand
-    try:
-        cfg.q = float(take("supremand.q", "2"))
-    except ValueError:
-        errors.append(f"supremand.q: not a number: {items['supremand.q']!r}")
+    cfg.q = number("supremand.q", 2.0)
     if not cfg.q > 1.0:
         errors.append(f"supremand.q: must exceed 1, got {cfg.q}")
     cfg.alpha = str(take("supremand.alpha", "1"))
     if cfg.alpha.startswith("affine:"):
-        coeffs = _parse_floats(cfg.alpha[len("affine:"):], "supremand.alpha", errors)
+        coeffs = _parse_numbers(cfg.alpha[len("affine:"):], "supremand.alpha", errors)
         if len(coeffs) != cfg.dim + 1:
             errors.append(f"supremand.alpha: affine form needs {cfg.dim + 1} coefficients")
-    else:
-        try:
-            if float(cfg.alpha) <= 0:
-                errors.append(f"supremand.alpha: must be positive, got {cfg.alpha}")
-        except ValueError:
-            errors.append(f"supremand.alpha: not a number or affine:... form: {cfg.alpha!r}")
-    try:
-        cfg.eps = float(take("supremand.eps", "0"))
-    except ValueError:
-        errors.append(f"supremand.eps: not a number: {items['supremand.eps']!r}")
+    elif not number("supremand.alpha", 1.0) > 0:
+        errors.append(f"supremand.alpha: must be positive, got {cfg.alpha}")
+    cfg.eps = number("supremand.eps", 0.0)
     if cfg.q < 2.0 and not cfg.eps > 0:
         errors.append("supremand.eps: must be positive when supremand.q < 2")
 
@@ -216,16 +202,16 @@ def parse_config(text):
     cfg.bc_kind = take("bc.kind", "affine")
     if cfg.bc_kind not in _BC_KINDS:
         errors.append(f"bc.kind: unknown kind {cfg.bc_kind!r}, expected one of {_BC_KINDS}")
-    cfg.bc_amplitude = _parse_floats(take("bc.amplitude", "1"), "bc.amplitude", errors)
+    cfg.bc_amplitude = _parse_numbers(take("bc.amplitude", "1"), "bc.amplitude", errors)
     if cfg.bc_amplitude and len(cfg.bc_amplitude) not in (1, cfg.components):
         errors.append(f"bc.amplitude: expected 1 or {cfg.components} entries")
     cfg.bc_amplitude = tuple(np.resize(cfg.bc_amplitude or (1.0,), cfg.components))
     default_coeffs = ",".join(["0.1"] + ["0.3"] * cfg.dim)
-    cfg.bc_coeffs = _parse_floats(take("bc.coeffs", default_coeffs), "bc.coeffs", errors)
+    cfg.bc_coeffs = _parse_numbers(take("bc.coeffs", default_coeffs), "bc.coeffs", errors)
     if len(cfg.bc_coeffs) != cfg.dim + 1:
         errors.append(f"bc.coeffs: expected {cfg.dim + 1} coefficients")
     default_freq = ",".join(str(k + 1) for k in range(cfg.components))
-    cfg.bc_frequency = _parse_floats(take("bc.frequency", default_freq), "bc.frequency", errors)
+    cfg.bc_frequency = _parse_numbers(take("bc.frequency", default_freq), "bc.frequency", errors)
     if len(cfg.bc_frequency) not in (1, cfg.components):
         errors.append(f"bc.frequency: expected 1 or {cfg.components} entries")
     cfg.bc_frequency = tuple(np.resize(cfg.bc_frequency or (1.0,), cfg.components))
@@ -238,41 +224,31 @@ def parse_config(text):
     # schedule
     sched_raw = take("schedule.p")
     if sched_raw is not None:
-        cfg.schedule = _parse_floats(sched_raw, "schedule.p", errors)
+        cfg.schedule = _parse_numbers(sched_raw, "schedule.p", errors)
         if cfg.schedule and (any(p < 1 for p in cfg.schedule)
                              or any(b <= a for a, b in zip(cfg.schedule, cfg.schedule[1:]))):
             errors.append("schedule.p: must be strictly increasing and >= 1")
-    try:
-        cfg.p_max = float(take("schedule.p_max", "4096"))
-    except ValueError:
-        errors.append(f"schedule.p_max: not a number: {items['schedule.p_max']!r}")
+    cfg.p_max = number("schedule.p_max", 4096.0)
     if cfg.p_max < 1:
         errors.append(f"schedule.p_max: must be >= 1, got {cfg.p_max}")
 
     # tolerances and verification thresholds
-    for attr, key, default, positive in (
-        ("newton_tol", "tol.newton", "1e-9", True),
-        ("bracket_stop", "tol.bracket_stop", "0.01", True),
-        ("theta", "tol.theta", "0.1", True),
-        ("degenerate_tol", "tol.degenerate", "1e-10", True),
-        ("r_system_frac", "check.r_system", "0.05", True),
-        ("r_harmonic_max", "check.r_harmonic", "1e-6", True),
+    for attr, key in (
+        ("newton_tol", "tol.newton"),
+        ("bracket_stop", "tol.bracket_stop"),
+        ("theta", "tol.theta"),
+        ("degenerate_tol", "tol.degenerate"),
+        ("r_system_frac", "check.r_system"),
+        ("r_harmonic_max", "check.r_harmonic"),
     ):
-        raw = take(key, default)
-        try:
-            val = float(raw)
-            if positive and not val > 0:
-                errors.append(f"{key}: must be positive, got {val}")
-            setattr(cfg, attr, val)
-        except ValueError:
-            errors.append(f"{key}: not a number: {raw!r}")
+        val = number(key, getattr(cfg, attr))
+        if not val > 0:
+            errors.append(f"{key}: must be positive, got {val}")
+        setattr(cfg, attr, val)
     if not 0.0 < cfg.theta < 1.0:
         errors.append(f"tol.theta: must lie in (0, 1), got {cfg.theta}")
 
-    try:
-        cfg.seed = int(take("seed", "0"))
-    except ValueError:
-        errors.append(f"seed: not an integer: {items['seed']!r}")
+    cfg.seed = number("seed", 0, int)
 
     unknown = sorted(set(items) - known)
     for key in unknown:

@@ -75,9 +75,13 @@ def power_mean_energy(op, supremand, u, p):
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
+    return _power_mean(_evaluate(op, supremand, u)[1], p)
+
+
+def _evaluate(op, supremand, u):
+    """(L_h u, nodal costs F(x, L_h u)) at the equation nodes."""
     lu = apply_operator(op, u)
-    fv = supremand.eval_field(op.eq_coords(), lu)
-    return _power_mean(fv, p)
+    return lu, supremand.eval_field(op.eq_coords(), lu)
 
 
 def _power_mean(fv, p):
@@ -119,6 +123,8 @@ class StageResult:
     iterations: int
     grad_rel: float     # adjoint-relative gradient residual at exit
     stalled: bool = False
+    lu: np.ndarray = None   # L_h u at the equation nodes
+    fv: np.ndarray = None   # nodal costs F(x, L_h u)
 
 
 @dataclass
@@ -390,8 +396,9 @@ def minimize_power_energy(
         problem, op.interior_dofs(u0), tol, max_newton, best_effort, label=f"stage p={p:g}"
     )
     u = op.with_interior_dofs(clamp, x)
-    energy = power_mean_energy(op, supremand, u, p)
-    return StageResult(u=u, energy=energy, iterations=iters, grad_rel=grad_rel, stalled=stalled)
+    lu, fv = _evaluate(op, supremand, u)
+    return StageResult(u=u, energy=_power_mean(fv, p), iterations=iters, grad_rel=grad_rel,
+                       stalled=stalled, lu=lu, fv=fv)
 
 
 def dual_field(op, supremand, u, p, energy):
@@ -400,13 +407,15 @@ def dual_field(op, supremand, u, p, energy):
     The stationarity of the stage objective makes this field discretely
     orthogonal to L_h of every interior-supported test field.
     """
+    lu, fv = _evaluate(op, supremand, u)
+    return _dual(op, supremand, lu, fv, p, energy)
+
+
+def _dual(op, supremand, lu, fv, p, energy):
+    """dual_field from an evaluation (L_h u, F) already at hand."""
     if energy <= 0.0:
         raise DegenerateEnergy("energy level is zero; the zero-energy branch applies")
-    lu = apply_operator(op, u)
-    coords = op.eq_coords()
-    fv = supremand.eval_field(coords, lu)
-    gv = supremand.grad_field(coords, lu)
-    return _ratio_power(fv, energy, p - 1.0)[:, None] * gv
+    return _ratio_power(fv, energy, p - 1.0)[:, None] * supremand.grad_field(op.eq_coords(), lu)
 
 
 @dataclass
@@ -480,25 +489,22 @@ def continuation_solve(
     """
     sched = _check_schedule(geometric_schedule(p_max) if schedule is None else schedule)
     u = cold_start(op, supremand, clamp) if initial is None else np.asarray(initial, dtype=np.float64)
-    coords = op.eq_coords()
-    fv0 = supremand.eval_field(coords, apply_operator(op, u))
+    fv0 = _evaluate(op, supremand, u)[1]
     threshold = degenerate_tol * max(1.0, float(np.max(fv0)))
 
     rows = []
     degenerate = float(np.max(fv0)) <= threshold
-    p_last = sched[0]
     for p in sched if not degenerate else ():
         res = minimize_power_energy(
             op, supremand, clamp, p, warm_start=u, tol=newton_tol, max_newton=max_newton
         )
-        u = res.u
-        p_last = p
-        fv = supremand.eval_field(coords, apply_operator(op, u))
+        u, fv = res.u, res.fv
         peak = float(np.max(fv))
         if res.energy > threshold:
             # cost constancy measured on the nodes carrying the dual field,
             # matching the verifier's active-set convention
-            mag = np.linalg.norm(dual_field(op, supremand, u, p, res.energy), axis=1)
+            f = _dual(op, supremand, res.lu, fv, p, res.energy)
+            mag = np.linalg.norm(f, axis=1)
             active = mag > theta * mag.max() if mag.max() > 0 else slice(None)
             cv_row = coefficient_of_variation(fv[active])
         else:
@@ -526,12 +532,11 @@ def continuation_solve(
     if degenerate:
         u = dirichlet_solve(op, np.zeros((op.n_interior, op.n_components)), clamp)
         f = np.zeros((op.n_eq, op.n_components))
-        fv = supremand.eval_field(coords, apply_operator(op, u))
         e_inf = 0.0
-        bracket = (0.0, float(np.max(fv)))
+        bracket = (0.0, float(np.max(_evaluate(op, supremand, u)[1])))
     else:
+        # f is the last stage's dual field
         last = rows[-1]
-        f = dual_field(op, supremand, u, p_last, last.energy)
         e_inf = 0.5 * (last.energy + last.peak)
         bracket = (last.energy, last.peak)
 

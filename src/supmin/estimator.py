@@ -12,12 +12,26 @@ import inspect
 
 import numpy as np
 
-from ._validation import check_field, check_in_open_interval, check_positive
 from .continuation import continuation_solve
+from .errors import DimensionMismatch
 from .grid import Grid
 from .operators import assemble_operator
 from .supremand import Supremand, WeightedPowerNorm
 from .tensors import EllipticTensor, identity_tensor
+
+
+def check_field(u, n_nodes, n_components, name="field"):
+    """Validate a finite nodal field and return it with shape (n_nodes, n_components)."""
+    out = np.ascontiguousarray(u, dtype=np.float64)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} contains non-finite entries")
+    if out.ndim == 1:
+        out = out.reshape(-1, 1)
+    if out.shape != (n_nodes, n_components):
+        raise DimensionMismatch(
+            f"{name} has shape {np.shape(u)}, expected ({n_nodes}, {n_components})"
+        )
+    return out
 
 
 class SupremalMinimizer:
@@ -137,8 +151,6 @@ class SupremalMinimizer:
             if not isinstance(self.supremand, Supremand):
                 raise ValueError("supremand must be a Supremand instance")
             return self.supremand
-        check_positive(self.alpha, "alpha")
-        check_in_open_interval(self.q, 1.0, np.inf, "q")
         return WeightedPowerNorm(
             int(self.components), q=float(self.q), alpha=float(self.alpha),
             eps=float(self.smoothing),

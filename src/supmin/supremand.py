@@ -114,8 +114,8 @@ class WeightedPowerNorm(Supremand):
 
     def __init__(self, n_components, q=2.0, alpha=1.0, eps=0.0, alpha_bounds=None):
         q = float(q)
-        if not q > 1.0:
-            raise ValueError(f"exponent q must exceed 1, got {q}")
+        if not 1.0 < q < np.inf:
+            raise ValueError(f"exponent q must be finite and exceed 1, got {q}")
         if q < 2.0 and not eps > 0.0:
             raise ValueError("q < 2 requires a smoothing eps > 0")
         self.q = q

@@ -96,7 +96,8 @@ def test_fields_file_matches_reference_rows(tmp_path, monkeypatch, chunk_rows):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     # reference: the same (bit-reproducible) solve, one format() per value
-    op, F, _, report = supmin.cli._solve_from_config(load_config(cfg))
+    est = supmin.cli._solve_from_config(load_config(cfg))
+    op, F, report = est.operator_, est.supremand, est.report_
     coords = op.grid.coords()
     lu = np.zeros((coords.shape[0], 2))
     fv = np.zeros(coords.shape[0])
@@ -124,6 +125,43 @@ def test_run_zero_energy_branch(tmp_path):
 def test_invalid_exponent_rejected(tmp_path):
     cfg = write(tmp_path, "bad.cfg", "supremand.q = 0.5\nbc.kind = affine\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("extra, flags, name", [
+    ("", ["--p-max", "0.5"], "schedule.p_max"),
+    ("", ["--p-max", "inf"], "schedule.p_max"),
+    ("", ["--nodes", "abc"], "domain.nodes"),
+    ("schedule.p_max = nan\n", [], "schedule.p_max"),
+    ("bc.amplitude = nan\n", [], "bc.amplitude"),
+    ("bc.coeffs = 0.1,nan\n", [], "bc.coeffs"),
+    ("supremand.q = inf\n", [], "supremand.q"),
+    ("domain.hi = inf\n", [], "domain.hi"),
+    ("tol.newton = inf\n", [], "tol.newton"),
+    (None, ["--bc", "a,b,c,d"], "--bc"),
+    (None, ["--bc", "nan,1,0,1"], "--bc"),
+])
+def test_invalid_number_is_config_error(tmp_path, capsys, extra, flags, name):
+    if extra is None:
+        argv = ["oracle", *flags]
+    else:
+        cfg = write(tmp_path, "bad.cfg", "domain.nodes = 51\nbc.kind = symmetric_velocity\n" + extra)
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err
+
+
+def test_override_flags_hash_like_edited_config(tmp_path):
+    cfg = write(tmp_path, "vec.cfg", VECTOR_CFG)
+    args = supmin.cli.build_parser().parse_args(
+        ["run", "--config", cfg, "--out", str(tmp_path / "o"),
+         "--nodes", "31", "--seed", "3", "--p-max", "32"])
+    overridden = supmin.cli._apply_overrides(load_config(cfg), args)
+    edited = VECTOR_CFG.replace("domain.nodes = 11", "domain.nodes = 31,31").replace(
+        "schedule.p_max = 64", "schedule.p_max = 32.0") + "seed = 3\n"
+    assert overridden.nodes == (31, 31)
+    assert overridden.items["domain.nodes"] == "31,31"
+    assert config_hash(overridden) == config_hash(parse_config(edited))
 
 
 def test_unknown_key_rejected(tmp_path):

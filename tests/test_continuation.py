@@ -8,6 +8,7 @@ from scipy.linalg import block_diag, cho_solve_banded, cholesky_banded
 from conftest import log_domain_power_mean, lp_min_max_abs, make_1d_problem
 
 import supmin.continuation
+import supmin.verify
 from supmin import (
     DegenerateEnergy,
     Grid,
@@ -204,6 +205,36 @@ def test_dual_field_sign_split_at_large_p(bang_bang_problem):
     x = op.eq_coords()[:, 0]
     lo, hi = x < 0.45, x > 0.55
     assert np.all(f[lo] < 0) and np.all(f[hi] > 0)
+
+
+def test_one_operator_evaluation_per_stage(bang_bang_problem, monkeypatch):
+    grid, op, F, u0 = bang_bang_problem
+    calls, fields = [], []
+    apply_real = supmin.continuation.apply_operator
+    stage_real = supmin.continuation.minimize_power_energy
+
+    def counted_apply(*args, **kwargs):
+        calls.append(args)
+        return apply_real(*args, **kwargs)
+
+    def recorded_stage(*args, **kwargs):
+        res = stage_real(*args, **kwargs)
+        fields.append(res.u)
+        return res
+
+    monkeypatch.setattr(supmin.continuation, "apply_operator", counted_apply)
+    monkeypatch.setattr(supmin.verify, "apply_operator", counted_apply)
+    monkeypatch.setattr(supmin.continuation, "minimize_power_energy", recorded_stage)
+    rep = continuation_solve(op, F, u0, p_max=4096.0)
+    monkeypatch.undo()
+    # one per stage, plus the cold start, its degeneracy test and the verifier
+    assert len(calls) <= len(rep.rows) + 3
+    last = rep.rows[-1]
+    assert np.array_equal(rep.f, dual_field(op, F, rep.u, last.p, last.energy))
+    # fields[0] is the cold start; each stage's energy is its field's power mean
+    assert len(fields) == len(rep.rows) + 1
+    for row, u in zip(rep.rows, fields[1:]):
+        assert row.energy == power_mean_energy(op, F, u, row.p)
 
 
 def test_continuation_affine_data_degenerates():

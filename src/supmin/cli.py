@@ -26,7 +26,6 @@ from .config import (
 )
 from .errors import ConfigError, SupminError, VerificationFailure
 from .estimator import SupremalMinimizer
-from .operators import apply_operator
 from .tensors import LEGENDRE_HADAMARD, check_legendre, check_legendre_hadamard
 
 EXIT_OK = 0
@@ -73,7 +72,6 @@ def _solve_from_config(cfg):
         newton_tol=cfg.newton_tol,
         bracket_stop=cfg.bracket_stop,
         theta=cfg.theta,
-        degenerate_tol=cfg.degenerate_tol,
         seed=cfg.seed,
     )
     return est.fit(lambda coords: boundary_profile(cfg, coords))
@@ -123,18 +121,17 @@ def _write_report(out_dir, cfg, report, oracle_row):
     _write_text(out_dir, "report.txt", "\n".join(lines) + "\n")
 
 
-def _write_fields(path, op, supremand, report):
+def _write_fields(path, op, report):
     coords = op.grid.coords()
     n_nodes, dim = coords.shape
     n_comp = op.n_components
-    lu_eq = apply_operator(op, report.u)
     # columns x, u, Lu, F, f; Lu, F and f are zero off the equation nodes
     table = np.zeros((n_nodes, dim + 3 * n_comp + 1))
     table[:, :dim] = coords
     table[:, dim:dim + n_comp] = report.u
     eq = op.eq_idx
-    table[eq, dim + n_comp:dim + 2 * n_comp] = lu_eq
-    table[eq, dim + 2 * n_comp] = supremand.eval_field(op.eq_coords(), lu_eq)
+    table[eq, dim + n_comp:dim + 2 * n_comp] = report.lu
+    table[eq, dim + 2 * n_comp] = report.fv
     table[eq, dim + 2 * n_comp + 1:] = report.f
     headers = (
         [f"x{a}" for a in range(dim)]
@@ -178,7 +175,7 @@ def _run_single(cfg, out_dir):
     oracle_row = _oracle_for_config(cfg, est.supremand)
     _check_report(cfg, report)
     _write_report(out_dir, cfg, report, oracle_row)
-    _write_fields(os.path.join(out_dir, "fields.dat"), est.operator_, est.supremand, report)
+    _write_fields(os.path.join(out_dir, "fields.dat"), est.operator_, report)
     if oracle_row is not None:
         _write_text(out_dir, "oracle.txt", _oracle_text(*oracle_row))
     return report

@@ -25,7 +25,6 @@ Recognized keys (defaults in parentheses):
     tol.newton (1e-9)         stage adjoint-residual tolerance
     tol.bracket_stop (0.01)   stop when bracket width < this fraction of its midpoint
     tol.theta (0.1)           active-set threshold for the verifier
-    tol.degenerate (1e-10)    zero-energy detection level
     check.r_system (0.05)     verification bound: r_system <= this * e_inf
     check.r_harmonic (1e-6)   verification bound on the adjoint residual
     seed (0)                  rng seed recorded with the run
@@ -77,7 +76,6 @@ class RunConfig:
     newton_tol: float = 1e-9
     bracket_stop: float = 0.01
     theta: float = 0.1
-    degenerate_tol: float = 1e-10
     r_system_frac: float = 0.05
     r_harmonic_max: float = 1e-6
     seed: int = 0
@@ -237,7 +235,6 @@ def parse_config(text):
         ("newton_tol", "tol.newton"),
         ("bracket_stop", "tol.bracket_stop"),
         ("theta", "tol.theta"),
-        ("degenerate_tol", "tol.degenerate"),
         ("r_system_frac", "check.r_system"),
         ("r_harmonic_max", "check.r_harmonic"),
     ):

@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench/tracer.py:126 patches this name
 
 from .errors import DegenerateEnergy, LineSearchStall, NoConvergence
-from .operators import apply_operator, dirichlet_solve
+from .operators import apply_operator
 from .verify import coefficient_of_variation
 
 log = logging.getLogger(__name__)
@@ -82,6 +82,16 @@ def _evaluate(op, supremand, u):
     """(L_h u, nodal costs F(x, L_h u)) at the equation nodes."""
     lu = apply_operator(op, u)
     return lu, supremand.eval_field(op.eq_coords(), lu)
+
+
+def _zero_floor(op, supremand, clamp):
+    """Cost level of pure operator roundoff on the scale of the clamped data.
+
+    A field whose peak cost is at or below c * (1e-13 * |L_h| * max|clamp|)^2
+    satisfies L_h u = 0 to working precision: it is the zero-energy minimizer.
+    """
+    lu_noise = 1e-13 * op.operator_scale() * float(np.max(np.abs(clamp[op.clamp_idx])))
+    return supremand.c * lu_noise**2
 
 
 def _power_mean(fv, p):
@@ -149,10 +159,7 @@ class _StageProblem:
         self.n_comp = op.n_components
         self.clamp_part = op.clamp_matrix @ clamp[op.clamp_idx].ravel()
         self.op_scale = op.operator_scale()
-        # cost level of pure operator roundoff on the data scale: below this the
-        # zero-energy minimum has been reached exactly
-        lu_noise = 1e-13 * self.op_scale * max(1.0, float(np.max(np.abs(clamp))))
-        self.zero_floor = supremand.c * lu_noise**2
+        self.zero_floor = _zero_floor(op, supremand, clamp)
         self.scale = None
 
     def lu_of(self, x):
@@ -438,6 +445,8 @@ class SolveReport:
     bracket: tuple            # (power mean, peak) at the final stage
     degenerate: bool = False
     verify: object = None
+    lu: np.ndarray = None     # L_h u at the equation nodes
+    fv: np.ndarray = None     # nodal costs F(x, L_h u)
 
     def check_invariants(self, slack=1e-8):
         """Raise AssertionError when the monotonicity/sandwich structure fails."""
@@ -473,42 +482,40 @@ def continuation_solve(
     schedule=None,
     p_max=4096.0,
     newton_tol=1e-9,
-    max_newton=400,
     bracket_stop=0.01,
     theta=0.1,
-    degenerate_tol=1e-10,
     initial=None,
     verify=True,
 ):
     """March the exponent schedule with warm starts and bracket the limit value.
 
-    Returns a SolveReport with the per-stage trace, the final field, its dual
-    field, the bracket midpoint estimate, and (optionally) the residual report
-    of the limiting optimality system.  When the energy collapses to zero the
-    clamped solve of L_h u = 0 is returned instead (zero-energy branch).
+    Returns a SolveReport with the per-stage trace, the final field with its
+    L_h u, costs and dual field, the bracket midpoint estimate, and (optionally)
+    the residual report of the limiting optimality system.  A start or stage
+    field with peak cost at or below _zero_floor solves L_h u = 0, so it is the
+    unique minimizer and is returned (zero-energy branch, bracket (0, peak)).
     """
     sched = _check_schedule(geometric_schedule(p_max) if schedule is None else schedule)
     u = cold_start(op, supremand, clamp) if initial is None else np.asarray(initial, dtype=np.float64)
-    fv0 = _evaluate(op, supremand, u)[1]
-    threshold = degenerate_tol * max(1.0, float(np.max(fv0)))
+    floor = _zero_floor(op, supremand, np.asarray(clamp, dtype=np.float64))
+    lu, fv = _evaluate(op, supremand, u)
 
     rows = []
-    degenerate = float(np.max(fv0)) <= threshold
+    degenerate = float(np.max(fv)) <= floor
     for p in sched if not degenerate else ():
-        res = minimize_power_energy(
-            op, supremand, clamp, p, warm_start=u, tol=newton_tol, max_newton=max_newton
-        )
-        u, fv = res.u, res.fv
+        res = minimize_power_energy(op, supremand, clamp, p, warm_start=u, tol=newton_tol)
+        u, lu, fv = res.u, res.lu, res.fv
         peak = float(np.max(fv))
-        if res.energy > threshold:
+        degenerate = peak <= floor
+        if degenerate:
+            cv_row = coefficient_of_variation(fv)
+        else:
             # cost constancy measured on the nodes carrying the dual field,
             # matching the verifier's active-set convention
-            f = _dual(op, supremand, res.lu, fv, p, res.energy)
+            f = _dual(op, supremand, lu, fv, p, res.energy)
             mag = np.linalg.norm(f, axis=1)
             active = mag > theta * mag.max() if mag.max() > 0 else slice(None)
             cv_row = coefficient_of_variation(fv[active])
-        else:
-            cv_row = coefficient_of_variation(fv)
         row = StageRow(
             p=p,
             energy=res.energy,
@@ -523,17 +530,13 @@ def continuation_solve(
             "stage p=%g: energy=%.12g peak=%.12g iters=%d grad_rel=%.3e cv=%.3e stalled=%s",
             p, row.energy, row.peak, row.newton_iters, row.grad_norm, row.cv, row.stalled,
         )
-        if res.energy <= threshold:
-            degenerate = True
-            break
-        if (peak - res.energy) < bracket_stop * 0.5 * (peak + res.energy):
+        if degenerate or (peak - res.energy) < bracket_stop * 0.5 * (peak + res.energy):
             break
 
     if degenerate:
-        u = dirichlet_solve(op, np.zeros((op.n_interior, op.n_components)), clamp)
         f = np.zeros((op.n_eq, op.n_components))
         e_inf = 0.0
-        bracket = (0.0, float(np.max(_evaluate(op, supremand, u)[1])))
+        bracket = (0.0, float(np.max(fv)))
     else:
         # f is the last stage's dual field
         last = rows[-1]
@@ -541,7 +544,7 @@ def continuation_solve(
         bracket = (last.energy, last.peak)
 
     report = SolveReport(
-        rows=rows, u=u, f=f, e_inf=e_inf, bracket=bracket, degenerate=degenerate
+        rows=rows, u=u, f=f, e_inf=e_inf, bracket=bracket, degenerate=degenerate, lu=lu, fv=fv
     )
     if verify:
         from .verify import verify_system
@@ -550,16 +553,16 @@ def continuation_solve(
     return report
 
 
-def penalized_solve(op, supremand, clamp, p, target, tol=1e-10, max_newton=400):
+def penalized_solve(op, supremand, clamp, p, target):
     """Minimize power-mean energy plus half the mean squared distance to target.
 
     The quadratic tether makes the objective strictly convex; as p grows the
     minimizers select the sup-energy minimizer closest to the target.  Fails
-    like a continuation stage: LineSearchStall or NoConvergence.
+    like a stage (LineSearchStall, NoConvergence) short of a 1e-10 relative gradient.
     """
     clamp = np.asarray(clamp, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     problem = _TetheredProblem(op, supremand, clamp, p, target)
-    x, *_ = _newton_loop(problem, op.interior_dofs(target), tol, max_newton,
+    x, *_ = _newton_loop(problem, op.interior_dofs(target), tol=1e-10, max_newton=400,
                          best_effort=False, label=f"penalized p={p:g}")
     return op.with_interior_dofs(clamp, x)

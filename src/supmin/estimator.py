@@ -59,9 +59,9 @@ class SupremalMinimizer:
         Explicit exponent schedule; default geometric up to p_max.
     p_max : float
         Cap of the geometric schedule.
-    newton_tol, bracket_stop, theta, degenerate_tol : float
-        Stage tolerance, bracket stopping fraction, verifier active-set
-        threshold, and zero-energy detection level.
+    newton_tol, bracket_stop, theta : float
+        Stage tolerance, bracket stopping fraction, and verifier active-set
+        threshold.  Zero energy needs no level: it is the data's roundoff floor.
     seed : int
         Recorded for provenance; the solve itself is deterministic.
 
@@ -90,7 +90,6 @@ class SupremalMinimizer:
         newton_tol=1e-9,
         bracket_stop=0.01,
         theta=0.1,
-        degenerate_tol=1e-10,
         seed=0,
     ):
         self.nodes = nodes
@@ -107,7 +106,6 @@ class SupremalMinimizer:
         self.newton_tol = newton_tol
         self.bracket_stop = bracket_stop
         self.theta = theta
-        self.degenerate_tol = degenerate_tol
         self.seed = seed
 
     @classmethod
@@ -180,7 +178,6 @@ class SupremalMinimizer:
             newton_tol=float(self.newton_tol),
             bracket_stop=float(self.bracket_stop),
             theta=float(self.theta),
-            degenerate_tol=float(self.degenerate_tol),
         )
         self.grid_ = grid
         self.operator_ = op

@@ -245,7 +245,7 @@ def apply_operator(op, u):
     return (op.matrix @ u.ravel()).reshape(op.n_eq, op.n_components)
 
 
-def pcg(matvec, b, rtol=1e-12, atol=0.0, max_iter=None, diag=None, x0=None):
+def pcg(matvec, b, rtol=1e-12, atol=0.0, max_iter=None, diag=None):
     """Jacobi-preconditioned conjugate gradients on an SPD system.
 
     Deterministic given fixed inputs; returns (x, residual_norm, iterations).
@@ -254,8 +254,8 @@ def pcg(matvec, b, rtol=1e-12, atol=0.0, max_iter=None, diag=None, x0=None):
     m = b.size
     if max_iter is None:
         max_iter = 20 * m + 200
-    x = np.zeros(m) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - matvec(x) if x0 is not None else b.copy()
+    x = np.zeros(m)
+    r = b.copy()
     if diag is not None:
         inv_diag = 1.0 / np.where(np.abs(diag) > 0, diag, 1.0)
     else:
@@ -291,7 +291,8 @@ def dirichlet_solve(op, rhs, clamp, tol=1e-12, max_iter=None):
     rhs may be given on all nodes, on the equation nodes, or on the interior
     nodes; clamp is a full field whose values at the clamped band are used.
     The square interior system is solved by Jacobi-preconditioned CG on its
-    (sign-flipped) SPD form to a residual <= tol * (1 + ||rhs||).
+    (sign-flipped) SPD form to a true residual <= tol * (1 + ||b||), b being
+    the rhs less the clamped layers' contribution.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape == (op.grid.n_nodes, op.n_components):
@@ -311,13 +312,14 @@ def dirichlet_solve(op, rhs, clamp, tol=1e-12, max_iter=None):
     # interior submatrix of an elliptic div-form operator is negative definite
     s_mat = -op.square_matrix()
     diag = s_mat.diagonal()
-    target = tol * (1.0 + np.linalg.norm(rhs_int))
-    x, res, _ = pcg(
+    target = tol * (1.0 + np.linalg.norm(b))
+    x, _, _ = pcg(
         lambda v: s_mat @ v, -b, rtol=0.0, atol=target, max_iter=max_iter, diag=diag
     )
+    res = float(np.linalg.norm(s_mat @ x + b))
     if res > target:
         raise LinearSolveFailure(
-            f"CG residual {res:.3e} above target {target:.3e}", residual=res
+            f"CG true residual {res:.3e} above target {target:.3e}", residual=res
         )
     u = np.array(clamp, dtype=np.float64, copy=True)
     u[op.interior_idx] = x.reshape(op.n_interior, op.n_components)

@@ -1,9 +1,11 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
 import supmin.cli
+import supmin.config
 from supmin.cli import main
 from supmin.config import config_hash, load_config, parse_config
 
@@ -165,9 +167,48 @@ def test_override_flags_hash_like_edited_config(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    for key in ("not.a.key", "tol.linear"):
+    for key in ("not.a.key", "tol.linear", "tol.degenerate"):
         cfg = write(tmp_path, "bad.cfg", f"domain.dim = 1\n{key} = 3\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+# a value the parser accepts for each key of the config module's key list, and
+# the lines a key needs before it is read
+DOC_KEY_VALUES = {
+    "domain.dim": "2", "domain.lo": "0", "domain.hi": "2", "domain.nodes": "21",
+    "field.components": "2", "tensor.kind": "identity", "tensor.entries": "2",
+    "tensor.blocks": "1", "tensor.gamma": "0.5", "tensor.lambda": "0.5",
+    "supremand.q": "3", "supremand.alpha": "affine:1,0.5", "supremand.eps": "0.1",
+    "bc.kind": "quadratic", "bc.amplitude": "2", "bc.coeffs": "0.1,0.2",
+    "bc.frequency": "3", "bc.file": "values.txt", "schedule.p": "2,8",
+    "schedule.p_max": "64", "tol.newton": "1e-8", "tol.bracket_stop": "0.02",
+    "tol.theta": "0.2", "check.r_system": "0.1", "check.r_harmonic": "1e-5", "seed": "3",
+}
+DOC_KEY_PREREQS = {
+    "tensor.entries": "tensor.kind = constant\n",
+    "tensor.blocks": "tensor.kind = block_diagonal\n",
+    "tensor.gamma": "domain.dim = 2\nfield.components = 2\ntensor.kind = det_coupled\n",
+    "bc.file": "bc.kind = file\n",
+}
+
+
+def documented_config_keys():
+    doc = supmin.config.__doc__
+    block = doc.split("Recognized keys (defaults in parentheses):")[1].split("\n\n")[1]
+    keys = []
+    for line in block.splitlines():
+        names = re.match(r"    ([a-z][\w.]*(?: / [a-z][\w.]*)*)", line).group(1)
+        keys += names.split(" / ")
+    return keys
+
+
+def test_documented_config_keys_are_accepted():
+    keys = documented_config_keys()
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(DOC_KEY_VALUES)
+    for key in keys:
+        cfg = parse_config(DOC_KEY_PREREQS.get(key, "") + f"{key} = {DOC_KEY_VALUES[key]}\n")
+        assert key in cfg.items
 
 
 def test_verification_threshold_failure(tmp_path):

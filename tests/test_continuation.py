@@ -8,6 +8,7 @@ from scipy.linalg import block_diag, cho_solve_banded, cholesky_banded
 from conftest import log_domain_power_mean, lp_min_max_abs, make_1d_problem
 
 import supmin.continuation
+import supmin.operators
 import supmin.verify
 from supmin import (
     DegenerateEnergy,
@@ -28,7 +29,9 @@ from supmin import (
     power_mean_energy,
     scaled_energy_gradient,
 )
-from supmin.continuation import _factor_spd, _ratio_power, _StageProblem
+from supmin.cli import _solve_from_config
+from supmin.config import boundary_profile, parse_config
+from supmin.continuation import _factor_spd, _ratio_power, _StageProblem, _zero_floor
 
 
 def test_geometric_schedule():
@@ -536,3 +539,38 @@ def test_penalized_solve_stops_at_residual_floor(bang_bang_problem, monkeypatch)
         calls.clear()
         penalized_solve(op, F, u0, p, target)
         assert 0 < len(calls) <= 30
+
+
+def _affine_1d_random_interior():
+    grid, op, F, u0 = make_1d_problem(nodes=101, profile="affine")
+    clamp = u0.copy()
+    clamp[op.interior_idx] = np.random.default_rng(5).standard_normal((op.n_interior, 1))
+    return op, F, clamp, continuation_solve(op, F, clamp)
+
+
+def _affine_161_config():
+    cfg = parse_config("domain.dim = 2\ndomain.nodes = 161\nbc.kind = affine\n")
+    est = _solve_from_config(cfg)
+    clamp = boundary_profile(cfg, est.grid_.coords())
+    return est.operator_, est.supremand, clamp, est.report_
+
+
+@pytest.mark.parametrize("solve", [_affine_1d_random_interior, _affine_161_config],
+                         ids=["1d_random_interior", "config_161"])
+def test_zero_branch_returns_the_solved_field(solve, monkeypatch):
+    def no_cg(*args, **kwargs):
+        raise AssertionError("the zero-energy branch must not run CG")
+
+    monkeypatch.setattr(supmin.operators, "pcg", no_cg)
+    op, F, clamp, rep = solve()
+    assert rep.degenerate
+    assert rep.e_inf == 0.0 and rep.bracket[0] == 0.0
+    np.testing.assert_array_equal(rep.f, 0.0)
+    lu = apply_operator(op, rep.u)
+    fv = F.eval_field(op.eq_coords(), lu)
+    np.testing.assert_array_equal(rep.lu, lu)
+    np.testing.assert_array_equal(rep.fv, fv)
+    assert rep.bracket[1] == np.max(fv)
+    # the floor reads the clamped band only, so the solved field gives the same one
+    assert rep.bracket[1] <= _zero_floor(op, F, clamp) == _zero_floor(op, F, rep.u)
+    np.testing.assert_array_equal(rep.u[op.clamp_idx], clamp[op.clamp_idx])

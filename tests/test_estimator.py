@@ -96,3 +96,19 @@ def test_degenerate_branch_through_estimator():
     est.fit(0.25 * t + 1.0)
     assert est.report_.degenerate
     assert est.e_inf_ == 0.0
+
+
+@pytest.fixture(scope="module")
+def cubic_unit_value():
+    t = np.linspace(0.0, 1.0, 41)
+    return SupremalMinimizer(nodes=41).fit(symmetric_velocity_profile(t)).e_inf_
+
+
+@pytest.mark.parametrize("k", range(-60, 61, 12))
+def test_value_scales_with_amplitude_squared(cubic_unit_value, k):
+    # the zero-energy test is relative to the data scale: tiny data are not zero
+    amp = 10.0**k
+    t = np.linspace(0.0, 1.0, 41)
+    est = SupremalMinimizer(nodes=41).fit(amp * symmetric_velocity_profile(t))
+    assert not est.report_.degenerate
+    assert est.e_inf_ / amp**2 == pytest.approx(cubic_unit_value, rel=1e-8)

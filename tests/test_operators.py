@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import supmin.operators
 from supmin import (
     DimensionMismatch,
     Grid,
@@ -207,6 +208,31 @@ def test_linear_solve_failure_on_exhausted_budget():
     clamp = (grid.coords()[:, 0] ** 3).reshape(-1, 1)
     with pytest.raises(LinearSolveFailure):
         dirichlet_solve(op, np.zeros((op.n_interior, 1)), clamp, max_iter=2)
+
+
+def test_linear_solve_failure_on_true_residual(monkeypatch):
+    from supmin import LinearSolveFailure
+
+    # a CG that claims convergence without moving: only the true residual shows it
+    monkeypatch.setattr(supmin.operators, "pcg", lambda matvec, b, **kw: (np.zeros_like(b), 0.0, 0))
+    grid = Grid((41,))
+    op = assemble_operator(grid, identity_tensor(1, 1))
+    clamp = (grid.coords()[:, 0] ** 3).reshape(-1, 1)
+    with pytest.raises(LinearSolveFailure):
+        dirichlet_solve(op, np.zeros((op.n_interior, 1)), clamp)
+
+
+def test_dirichlet_solve_target_follows_data_scale():
+    # the target grows with the clamp's contribution to the rhs, so large data
+    # are solved to the same relative accuracy
+    grid = Grid((31, 31))
+    op = assemble_operator(grid, identity_tensor(2, 1))
+    clamp = np.random.default_rng(2).standard_normal((grid.n_nodes, 1))
+    zero = np.zeros((op.n_interior, 1))
+    unit = dirichlet_solve(op, zero, clamp)
+    for scale in (1e4, 1e8):
+        u = dirichlet_solve(op, zero, scale * clamp)
+        np.testing.assert_allclose(u / scale, unit, rtol=0.0, atol=1e-9 * np.max(np.abs(unit)))
 
 
 def test_operator_caches_are_shared_and_exact():

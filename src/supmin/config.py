@@ -22,7 +22,7 @@ Recognized keys (defaults in parentheses):
     bc.file                   whitespace table of nodal values, kind=file
     schedule.p                explicit comma-separated exponents (overrides p_max)
     schedule.p_max (4096)     geometric schedule 2, 4, ..., p_max
-    tol.newton (1e-9)         stage adjoint-residual tolerance
+    tol.newton (1e-9)         adjoint-residual tolerance of the stage that ends the run
     tol.bracket_stop (0.01)   stop when bracket width < this fraction of its midpoint
     tol.theta (0.1)           active-set threshold for the verifier
     check.r_system (0.05)     verification bound: r_system <= this * e_inf

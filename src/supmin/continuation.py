@@ -20,6 +20,15 @@ One damped Newton loop (_newton_loop) serves every minimization here; the
 problem object it runs supplies the objective, its gradient, the banded
 Newton matrix and the stopping residual.  _StageProblem is a continuation
 stage; _TetheredProblem adds the quadratic tether of penalized_solve.
+
+A stage stops by one of two rules.  The stage that ends the run (the last
+scheduled exponent, or the first whose bracket is narrower than
+bracket_stop) is driven until its residual drops below newton_tol or reaches
+its floating-point floor.  An intermediate stage, whose own bracket is still
+open, only warm-starts the next exponent: it stops once a full Newton step
+moves its power mean by at most ENERGY_RTOL relative.  Once the predicted
+decrease of a step is below the objective's roundoff, the full step is judged
+by the residual instead of by roundoff-sized objective differences.
 """
 
 import logging
@@ -40,6 +49,11 @@ MAX_BACKTRACKS = 60
 # residual up to which a minimization stuck at its floating-point floor is
 # accepted (and reported as stalled) instead of failing
 STALL_ACCEPT = 1e-6
+# roundoff of the stage objective G = mean((F/m)^p) relative to |G|, per unit p
+OBJ_ROUNDOFF = 64.0 * np.finfo(np.float64).eps
+# relative move of the power mean below which a full Newton step ends an
+# intermediate stage (one whose bracket still calls for the next exponent)
+ENERGY_RTOL = 1e-8
 
 
 def geometric_schedule(p_max, start=2.0):
@@ -75,7 +89,8 @@ def power_mean_energy(op, supremand, u, p):
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    return _power_mean(_evaluate(op, supremand, u)[1], p)
+    with np.errstate(divide="ignore"):
+        return _power_mean(_evaluate(op, supremand, u)[1], p)
 
 
 def _evaluate(op, supremand, u):
@@ -94,27 +109,38 @@ def _zero_floor(op, supremand, clamp):
     return supremand.c * lu_noise**2
 
 
+# _power_mean, _log_ratio and _ratio_power take logs of zero costs on purpose;
+# their callers run them under np.errstate, once per Newton loop or public call
 def _power_mean(fv, p):
     m = float(np.max(fv))
     if m <= 0.0:
         return 0.0
-    with np.errstate(divide="ignore"):
-        log_ratio = np.log(np.maximum(fv, 0.0)) - np.log(m)
-    powers = np.exp(p * log_ratio)
+    powers = np.exp(p * _log_ratio(fv, m))
     return m * float(np.mean(powers)) ** (1.0 / p)
 
 
-def _ratio_power(fv, m, expo):
+def _bracket_closed(energy, peak, bracket_stop):
+    """The continuation stop rule: [energy, peak] narrower than bracket_stop of its midpoint."""
+    return (peak - energy) < bracket_stop * 0.5 * (peak + energy)
+
+
+def _log_ratio(fv, m):
+    """log(F_i/m), -inf where F_i <= 0."""
+    return np.log(np.maximum(fv, 0.0)) - np.log(m)
+
+
+def _ratio_power(fv, m, expo, log_ratio=None):
     """(F_i/m)^expo with 0^expo := 0, evaluated through logs for stability.
 
-    For negative exponents, costs many orders below the scale are treated as
-    zero so the huge reciprocal powers (whose prefactors vanish even faster)
-    cannot poison the arithmetic.
+    log_ratio, when given, is _log_ratio(fv, m) already at hand.  For negative
+    exponents, costs many orders below the scale are treated as zero so the
+    huge reciprocal powers (whose prefactors vanish even faster) cannot poison
+    the arithmetic.
     """
     floor = 0.0 if expo >= 0.0 else m * 1e-250
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_ratio = np.log(np.maximum(fv, 0.0)) - np.log(m)
-        out = np.exp(expo * log_ratio)
+    if log_ratio is None:
+        log_ratio = _log_ratio(fv, m)
+    out = np.exp(expo * log_ratio)
     return np.where(fv > floor, out, 0.0 if expo != 0.0 else 1.0)
 
 
@@ -123,7 +149,8 @@ def scaled_energy_gradient(op, supremand, u, p, scale):
     problem = _StageProblem(op, supremand, u, p)
     problem.scale = scale
     x = op.interior_dofs(u)
-    return problem.grad_state(x, *problem.evaluate(x)).grad
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return problem.grad_state(x, *problem.evaluate(x)).grad
 
 
 @dataclass
@@ -142,6 +169,7 @@ class _State:
     lu: np.ndarray
     fv: np.ndarray
     gv: np.ndarray
+    log_ratio: np.ndarray   # log(F/m), the one log of the step
     r_pm1: np.ndarray   # (F/m)^(p-1), shared by the gradient and the Newton band
     w: np.ndarray
     grad: np.ndarray
@@ -150,7 +178,7 @@ class _State:
 class _StageProblem:
     """One fixed-exponent stage: peak-rescaled objective, gradient, Newton band, residual."""
 
-    def __init__(self, op, supremand, clamp, p):
+    def __init__(self, op, supremand, clamp, p, bracket_stop=None):
         self.op = op
         self.F = supremand
         self.p = float(p)
@@ -161,6 +189,7 @@ class _StageProblem:
         self.op_scale = op.operator_scale()
         self.zero_floor = _zero_floor(op, supremand, clamp)
         self.scale = None
+        self.bracket_stop = bracket_stop   # set on intermediate stages only
 
     def lu_of(self, x):
         return (self.op.free_matrix @ x + self.clamp_part).reshape(
@@ -173,23 +202,22 @@ class _StageProblem:
         return lu, self.F.eval_field(self.coords, lu)
 
     def objective(self, x, fv):
-        with np.errstate(over="ignore"):
-            powers = _ratio_power(fv, self.scale, self.p)
-        return float(np.mean(powers))
+        return float(np.mean(_ratio_power(fv, self.scale, self.p)))
 
     def grad_state(self, x, lu, fv):
         gv = self.F.grad_field(self.coords, lu)
         p, m = self.p, self.scale
-        r_pm1 = _ratio_power(fv, m, p - 1.0)
+        log_ratio = _log_ratio(fv, m)
+        r_pm1 = _ratio_power(fv, m, p - 1.0, log_ratio)
         w = (p / (self.n_eq * m)) * r_pm1[:, None] * gv
         grad = self.op.free_matrix_t @ w.ravel()
-        return _State(lu=lu, fv=fv, gv=gv, r_pm1=r_pm1, w=w, grad=grad)
+        return _State(lu=lu, fv=fv, gv=gv, log_ratio=log_ratio, r_pm1=r_pm1, w=w, grad=grad)
 
     def newton_band(self, state):
         """Upper band storage of the exact objective Hessian L^T D L at state."""
         p, m = self.p, self.scale
         hv = self.F.hess_field(self.coords, state.lu)
-        r_pm2 = _ratio_power(state.fv, m, p - 2.0)
+        r_pm2 = _ratio_power(state.fv, m, p - 2.0, state.log_ratio)
         gv = state.gv
         blocks = (p - 1.0) * r_pm2[:, None, None] * gv[:, :, None] * gv[:, None, :]
         blocks += (m * state.r_pm1)[:, None, None] * hv
@@ -215,6 +243,17 @@ class _StageProblem:
         if wnorm == 0.0:
             return 0.0
         return float(np.linalg.norm(state.grad) / (self.op_scale * wnorm))
+
+    def settled(self, gain, obj, fv):
+        """Whether a full step that lowered the objective G to obj by gain ends the stage.
+
+        Only an intermediate stage whose own bracket is still open ends this
+        way: its power mean M = m G^(1/p) moved by at most ENERGY_RTOL relative
+        (dM/M = dG/(p G)), and a later stage, not this one, reports the result.
+        """
+        if self.bracket_stop is None or gain > ENERGY_RTOL * self.p * obj:
+            return False
+        return not _bracket_closed(_power_mean(fv, self.p), float(np.max(fv)), self.bracket_stop)
 
 
 class _TetheredProblem(_StageProblem):
@@ -293,90 +332,113 @@ def _factor_spd(band):
 
 
 def _newton_loop(problem, x, tol, max_newton, best_effort, label):
-    """Damped Newton with Armijo backtracking on a stage or tethered problem.
+    """Damped Newton on a stage or tethered problem.
 
     The problem supplies the objective, its gradient, the banded Newton matrix
     and the stopping residual; the loop keeps its scale at the running peak
-    cost.  Stops when the residual drops below tol, or at the floating-point
-    floor of that residual.  Costs at or below the problem's zero_floor count
-    as an exact zero-energy minimum.  Returns (x, iterations, residual, stalled).
+    cost.  Steps are damped by Armijo backtracking.  Once the predicted
+    decrease ARMIJO_C1 |slope| is below the objective's roundoff,
+    OBJ_ROUNDOFF p |obj|, the Armijo test compares noise: the full step is
+    then kept iff it lowers the residual (the pure Newton phase), and
+    backtracking resumes from t = 1/2 otherwise, because a full step that
+    raises the residual may be too long rather than at the floor.  Two rules
+    end the loop:
+
+    - the residual drops below tol, or reaches its floor (accepted as stalled
+      up to STALL_ACCEPT, else NoConvergence or LineSearchStall);
+    - on an intermediate stage (problem.settled), a full step moves the power
+      mean by at most ENERGY_RTOL relative while the stage bracket is still
+      open: energy accuracy is all a later stage's warm start needs.
+
+    Costs at or below the problem's zero_floor count as an exact zero-energy
+    minimum.  Returns (x, iterations, residual, stalled).
     """
-    lu, fv = problem.evaluate(x)
-    peak = float(np.max(fv))
-    if peak <= problem.zero_floor:
-        return x, 0, 0.0, False
-    problem.scale = peak
-    state = problem.grad_state(x, lu, fv)
-    obj = problem.objective(x, fv)
-    res = problem.residual(state)
-    stalled = False
-    iters = 0
-    prev_res = None
-    obj_gain = np.inf
-    strikes = 0
-    for iters in range(1, max_newton + 1):
-        if res <= tol:
-            return x, iters - 1, res, False
-        # floating-point floor: residual flat AND objective no longer moving
-        flat_res = prev_res is not None and res >= 0.99 * prev_res
-        flat_obj = obj_gain <= 1e-14 * max(abs(obj), 1e-300)
-        strikes = strikes + 1 if (flat_res and flat_obj) else 0
-        if strikes >= 4:
-            if res <= STALL_ACCEPT:
-                stalled = True
-                break
-            raise NoConvergence(
-                f"{label}: residual stagnated at {res:.3e} (target {tol:.1e})"
-            )
-        prev_res = res
-
-        factor = _factor_spd(problem.newton_band(state))
-        step = factor.solve(-state.grad)
-        if step @ state.grad >= 0.0:
-            step = -step if step @ state.grad > 0.0 else -state.grad
-
-        t = 1.0
-        slope = float(state.grad @ step)
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            x_try = x + t * step
-            lu, fv = problem.evaluate(x_try)
-            obj_try = problem.objective(x_try, fv)
-            if np.isfinite(obj_try) and obj_try <= obj + ARMIJO_C1 * t * slope:
-                x = x_try
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            if res <= STALL_ACCEPT:
-                stalled = True
-                break
-            raise LineSearchStall(
-                f"{label}: no decrease after {MAX_BACKTRACKS} halvings "
-                f"(residual {res:.3e})"
-            )
-
-        # keep the objective scaled to the current peak: the residual is
-        # scale-invariant, so rescaling costs nothing but keeps the scaled
-        # objective inside [1/n_eq, 1] where Armijo comparisons stay meaningful;
-        # the accepted trial's lu and fv are the state at the new x
-        peak_now = float(np.max(fv))
-        if peak_now <= problem.zero_floor:
-            return x, iters, 0.0, False
-        rescaled = abs(np.log(peak_now) - np.log(problem.scale)) > 0.2
-        if rescaled:
-            problem.scale = peak_now
-            obj_try = problem.objective(x, fv)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lu, fv = problem.evaluate(x)
+        peak = float(np.max(fv))
+        if peak <= problem.zero_floor:
+            return x, 0, 0.0, False
+        problem.scale = peak
         state = problem.grad_state(x, lu, fv)
-        obj_gain = np.inf if rescaled else obj - obj_try
-        obj = obj_try
+        obj = problem.objective(x, fv)
         res = problem.residual(state)
+        stalled = False
+        iters = 0
+        prev_res = None
+        obj_gain = np.inf
+        strikes = 0
+        for iters in range(1, max_newton + 1):
+            if res <= tol:
+                return x, iters - 1, res, False
+            # floating-point floor: residual flat AND objective no longer moving
+            flat_res = prev_res is not None and res >= 0.99 * prev_res
+            flat_obj = obj_gain <= 1e-14 * max(abs(obj), 1e-300)
+            strikes = strikes + 1 if (flat_res and flat_obj) else 0
+            if strikes >= 4:
+                if res <= STALL_ACCEPT:
+                    stalled = True
+                    break
+                raise NoConvergence(
+                    f"{label}: residual stagnated at {res:.3e} (target {tol:.1e})"
+                )
+            prev_res = res
 
-    if stalled or best_effort or res <= STALL_ACCEPT:
-        return x, iters, res, stalled or res > tol
-    raise NoConvergence(
-        f"{label}: residual {res:.3e} above {tol:.1e} after {max_newton} iterations"
-    )
+            factor = _factor_spd(problem.newton_band(state))
+            step = factor.solve(-state.grad)
+            if step @ state.grad >= 0.0:
+                step = -step if step @ state.grad > 0.0 else -state.grad
+
+            t = 1.0
+            slope = float(state.grad @ step)
+            at_roundoff = ARMIJO_C1 * abs(slope) <= OBJ_ROUNDOFF * problem.p * abs(obj)
+            trial = None
+            for halvings in range(MAX_BACKTRACKS):
+                x_try = x + t * step
+                lu, fv = problem.evaluate(x_try)
+                obj_try = problem.objective(x_try, fv)
+                if at_roundoff and halvings == 0:
+                    trial = problem.grad_state(x_try, lu, fv)
+                    accepted = problem.residual(trial) < res
+                else:
+                    accepted = np.isfinite(obj_try) and obj_try <= obj + ARMIJO_C1 * t * slope
+                if accepted:
+                    x = x_try
+                    break
+                trial = None
+                t *= 0.5
+            else:
+                if res <= STALL_ACCEPT:
+                    stalled = True
+                    break
+                raise LineSearchStall(
+                    f"{label}: no decrease after {MAX_BACKTRACKS} halvings "
+                    f"(residual {res:.3e})"
+                )
+
+            # keep the objective scaled to the current peak: the residual is
+            # scale-invariant, so rescaling costs nothing but keeps the scaled
+            # objective inside [1/n_eq, 1] where Armijo comparisons stay meaningful;
+            # the accepted trial's lu and fv are the state at the new x
+            peak_now = float(np.max(fv))
+            if peak_now <= problem.zero_floor:
+                return x, iters, 0.0, False
+            rescaled = abs(np.log(peak_now) - np.log(problem.scale)) > 0.2
+            if rescaled:
+                problem.scale = peak_now
+                obj_try = problem.objective(x, fv)
+                trial = None
+            state = problem.grad_state(x, lu, fv) if trial is None else trial
+            obj_gain = np.inf if rescaled else obj - obj_try
+            obj = obj_try
+            res = problem.residual(state)
+            if t == 1.0 and not rescaled and problem.settled(obj_gain, obj, fv):
+                return x, iters, res, False
+
+        if stalled or best_effort or res <= STALL_ACCEPT:
+            return x, iters, res, stalled or res > tol
+        raise NoConvergence(
+            f"{label}: residual {res:.3e} above {tol:.1e} after {max_newton} iterations"
+        )
 
 
 def minimize_power_energy(
@@ -388,23 +450,29 @@ def minimize_power_energy(
     tol=1e-9,
     max_newton=400,
     best_effort=False,
+    bracket_stop=None,
 ):
     """Minimize the exponent-p power-mean energy over the clamped affine space.
 
     Returns a StageResult whose field satisfies the clamp exactly and whose
     adjoint-relative gradient residual is below tol (or at its floating-point
-    floor, whichever is hit first).
+    floor, whichever is hit first).  bracket_stop marks an intermediate stage
+    of a continuation that stops at the first bracket narrower than
+    bracket_stop: while this stage's bracket is wider, it ends as soon as a
+    full Newton step moves the power mean by at most ENERGY_RTOL relative.
     """
     clamp = np.asarray(clamp, dtype=np.float64)
     u0 = clamp if warm_start is None else np.asarray(warm_start, dtype=np.float64)
     u0 = op.with_interior_dofs(clamp, op.interior_dofs(u0))
-    problem = _StageProblem(op, supremand, clamp, p)
+    problem = _StageProblem(op, supremand, clamp, p, bracket_stop)
     x, iters, grad_rel, stalled = _newton_loop(
         problem, op.interior_dofs(u0), tol, max_newton, best_effort, label=f"stage p={p:g}"
     )
     u = op.with_interior_dofs(clamp, x)
     lu, fv = _evaluate(op, supremand, u)
-    return StageResult(u=u, energy=_power_mean(fv, p), iterations=iters, grad_rel=grad_rel,
+    with np.errstate(divide="ignore"):
+        energy = _power_mean(fv, p)
+    return StageResult(u=u, energy=energy, iterations=iters, grad_rel=grad_rel,
                        stalled=stalled, lu=lu, fv=fv)
 
 
@@ -422,7 +490,9 @@ def _dual(op, supremand, lu, fv, p, energy):
     """dual_field from an evaluation (L_h u, F) already at hand."""
     if energy <= 0.0:
         raise DegenerateEnergy("energy level is zero; the zero-energy branch applies")
-    return _ratio_power(fv, energy, p - 1.0)[:, None] * supremand.grad_field(op.eq_coords(), lu)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = _ratio_power(fv, energy, p - 1.0)
+    return ratio[:, None] * supremand.grad_field(op.eq_coords(), lu)
 
 
 @dataclass
@@ -503,7 +573,9 @@ def continuation_solve(
     rows = []
     degenerate = float(np.max(fv)) <= floor
     for p in sched if not degenerate else ():
-        res = minimize_power_energy(op, supremand, clamp, p, warm_start=u, tol=newton_tol)
+        # every stage but the last scheduled one may end at energy accuracy
+        res = minimize_power_energy(op, supremand, clamp, p, warm_start=u, tol=newton_tol,
+                                    bracket_stop=bracket_stop if p < sched[-1] else None)
         u, lu, fv = res.u, res.lu, res.fv
         peak = float(np.max(fv))
         degenerate = peak <= floor
@@ -530,7 +602,7 @@ def continuation_solve(
             "stage p=%g: energy=%.12g peak=%.12g iters=%d grad_rel=%.3e cv=%.3e stalled=%s",
             p, row.energy, row.peak, row.newton_iters, row.grad_norm, row.cv, row.stalled,
         )
-        if degenerate or (peak - res.energy) < bracket_stop * 0.5 * (peak + res.energy):
+        if degenerate or _bracket_closed(res.energy, peak, bracket_stop):
             break
 
     if degenerate:

@@ -291,8 +291,8 @@ def dirichlet_solve(op, rhs, clamp, tol=1e-12, max_iter=None):
     rhs may be given on all nodes, on the equation nodes, or on the interior
     nodes; clamp is a full field whose values at the clamped band are used.
     The square interior system is solved by Jacobi-preconditioned CG on its
-    (sign-flipped) SPD form to a true residual <= tol * (1 + ||b||), b being
-    the rhs less the clamped layers' contribution.
+    (sign-flipped) SPD form to a true residual <= tol * ||b||, b being the rhs
+    less the clamped layers' contribution; b = 0 gives zero interior values.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape == (op.grid.n_nodes, op.n_components):
@@ -309,10 +309,15 @@ def dirichlet_solve(op, rhs, clamp, tol=1e-12, max_iter=None):
 
     clamp_vals = clamp[op.clamp_idx].ravel()
     b = rhs_int.ravel() - (op.clamp_matrix @ clamp_vals)[op.square_rows]
+    u = np.array(clamp, dtype=np.float64, copy=True)
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        u[op.interior_idx] = 0.0
+        return u
     # interior submatrix of an elliptic div-form operator is negative definite
     s_mat = -op.square_matrix()
     diag = s_mat.diagonal()
-    target = tol * (1.0 + np.linalg.norm(b))
+    target = tol * b_norm
     x, _, _ = pcg(
         lambda v: s_mat @ v, -b, rtol=0.0, atol=target, max_iter=max_iter, diag=diag
     )
@@ -321,7 +326,6 @@ def dirichlet_solve(op, rhs, clamp, tol=1e-12, max_iter=None):
         raise LinearSolveFailure(
             f"CG true residual {res:.3e} above target {target:.3e}", residual=res
         )
-    u = np.array(clamp, dtype=np.float64, copy=True)
     u[op.interior_idx] = x.reshape(op.n_interior, op.n_components)
     return u
 

@@ -15,6 +15,7 @@ from supmin import (
     Grid,
     LineSearchStall,
     NoConvergence,
+    SupremalMinimizer,
     WeightedPowerNorm,
     apply_operator,
     assemble_operator,
@@ -31,7 +32,13 @@ from supmin import (
 )
 from supmin.cli import _solve_from_config
 from supmin.config import boundary_profile, parse_config
-from supmin.continuation import _factor_spd, _ratio_power, _StageProblem, _zero_floor
+from supmin.continuation import (
+    _factor_spd,
+    _ratio_power,
+    _StageProblem,
+    _zero_floor,
+    cold_start,
+)
 
 
 def test_geometric_schedule():
@@ -354,6 +361,84 @@ def test_stage_rows_report_stalled():
     assert any(row.stalled for row in strict.rows)
     default = continuation_solve(op, F, u0, p_max=64.0, verify=False)
     assert default.rows[0].stalled is False
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_residual_floor_costs_no_halvings(monkeypatch):
+    # newton_tol = 1e-16 is below every stage's residual floor: intermediate
+    # stages end at energy accuracy instead of running to max_newton, and
+    # steps at the objective's roundoff are judged by the residual, so only
+    # the last stage reaches its floor
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    factors = _count_calls(monkeypatch, supmin.continuation, "_factor_spd")
+    evaluations = _count_calls(monkeypatch, _StageProblem, "evaluate")
+    rep = continuation_solve(op, F, u0, p_max=64.0, newton_tol=1e-16, verify=False)
+    assert len(factors) <= 60
+    assert len(evaluations) <= 100
+    assert not any(row.stalled for row in rep.rows[:-1])
+
+
+def test_intermediate_stages_end_at_energy_accuracy(bang_bang_problem):
+    # against a chain of stages each driven to tol = 1e-9: fewer Newton steps,
+    # intermediate energies within 1e-8, and the stage that ends the run as accurate
+    grid, op, F, u0 = bang_bang_problem
+    schedule = (2.0, 4.0, 8.0, 16.0)
+    rep = continuation_solve(op, F, u0, schedule=schedule, verify=False)
+    assert [row.p for row in rep.rows] == list(schedule)
+    warm, chain_iters = cold_start(op, F, u0), 0
+    for row in rep.rows:
+        ref = minimize_power_energy(op, F, u0, row.p, warm_start=warm, tol=1e-9)
+        warm, chain_iters = ref.u, chain_iters + ref.iterations
+        assert row.energy == pytest.approx(ref.energy, rel=1e-8)
+    assert sum(row.newton_iters for row in rep.rows) < chain_iters
+    last = rep.rows[-1]
+    assert last.energy == pytest.approx(ref.energy, rel=1e-9)
+    assert last.peak == pytest.approx(float(np.max(ref.fv)), rel=1e-9)
+
+
+# the sweep_cli benchmark configs at unit data scale
+SWEEP_CONFIGS = {
+    "detcoupled31": "domain.dim = 2\ndomain.nodes = 31\nfield.components = 2\n"
+                    "tensor.kind = det_coupled\ntensor.gamma = 1\nbc.kind = sinusoidal\n",
+    "weighted41": "domain.dim = 2\ndomain.nodes = 41\nfield.components = 1\n"
+                  "supremand.alpha = affine:1,0.5,0.25\nbc.kind = sinusoidal\n",
+    "blockq3_25": "domain.dim = 2\ndomain.nodes = 25\nfield.components = 2\n"
+                  "tensor.kind = block_diagonal\ntensor.blocks = 1,0,0,1;2,0.5,0.5,1\n"
+                  "supremand.q = 3\nbc.kind = sinusoidal\n",
+    "zero161": "domain.dim = 2\ndomain.nodes = 161\nfield.components = 1\nbc.kind = affine\n",
+}
+
+
+def _symmetric_velocity_fit():
+    grid, op, F, u0 = make_1d_problem(nodes=201)
+    est = SupremalMinimizer(nodes=201, p_max=4096.0).fit(u0)
+    return est.newton_tol, est.report_
+
+
+def _config_fit(name):
+    def fit():
+        cfg = parse_config(SWEEP_CONFIGS[name])
+        return cfg.newton_tol, _solve_from_config(cfg).report_
+    return fit
+
+
+@pytest.mark.parametrize("fit", [_symmetric_velocity_fit] + [_config_fit(n) for n in SWEEP_CONFIGS],
+                         ids=["symmetric_velocity"] + list(SWEEP_CONFIGS))
+def test_final_stage_reaches_newton_tol(fit):
+    newton_tol, rep = fit()
+    assert rep.rows or rep.degenerate
+    assert all(row.grad_norm <= newton_tol or row.stalled for row in rep.rows[-1:])
 
 
 def _stage_hessian_problem(shape, n_comp, seed, tensor=None):

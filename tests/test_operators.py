@@ -223,16 +223,29 @@ def test_linear_solve_failure_on_true_residual(monkeypatch):
 
 
 def test_dirichlet_solve_target_follows_data_scale():
-    # the target grows with the clamp's contribution to the rhs, so large data
-    # are solved to the same relative accuracy
+    # the target scales with the clamp's contribution to the rhs, so small and
+    # large data are solved to the same relative accuracy
     grid = Grid((31, 31))
     op = assemble_operator(grid, identity_tensor(2, 1))
     clamp = np.random.default_rng(2).standard_normal((grid.n_nodes, 1))
     zero = np.zeros((op.n_interior, 1))
     unit = dirichlet_solve(op, zero, clamp)
-    for scale in (1e4, 1e8):
+    for scale in (1e-8, 1e-4, 1e4, 1e8):
         u = dirichlet_solve(op, zero, scale * clamp)
         np.testing.assert_allclose(u / scale, unit, rtol=0.0, atol=1e-9 * np.max(np.abs(unit)))
+
+
+def test_dirichlet_solve_zero_data_skips_cg(monkeypatch):
+    def no_cg(*args, **kwargs):
+        raise AssertionError("b = 0 needs no CG")
+
+    monkeypatch.setattr(supmin.operators, "pcg", no_cg)
+    grid = Grid((11, 11))
+    op = assemble_operator(grid, identity_tensor(2, 1))
+    clamp = np.random.default_rng(3).standard_normal((grid.n_nodes, 1))
+    clamp[op.clamp_idx] = 0.0
+    u = dirichlet_solve(op, np.zeros((op.n_interior, 1)), clamp)
+    np.testing.assert_array_equal(u, 0.0)
 
 
 def test_operator_caches_are_shared_and_exact():

@@ -110,6 +110,9 @@ def _write_report(out_dir, cfg, report, oracle_row):
     for row in report.rows:
         lines.append(" ".join(["p_row =", _fmt(row.p), _fmt(row.energy), _fmt(row.peak),
                                str(row.newton_iters), _fmt(row.grad_norm), _fmt(row.cv)]))
+    stalled = [_fmt(row.p) for row in report.rows if row.stalled]
+    if stalled:
+        lines.append(f"stalled_stages = {','.join(stalled)}")
     lines.append(f"e_inf_estimate = {_fmt(report.e_inf)}")
     lines.append(f"bracket_low = {_fmt(report.bracket[0])}")
     lines.append(f"bracket_high = {_fmt(report.bracket[1])}")

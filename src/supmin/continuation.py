@@ -7,7 +7,9 @@ symmetric positive definite and banded in the natural (C-order) dof order, so
 each Newton system is factored by banded Cholesky at cost O(n * bw^2).  Each
 Newton step scatters the nodal products of L^T D L straight into band storage
 through the operator's stencil pattern (DiscreteOperator.hessian_pattern),
-and the bandwidth bw comes from that pattern.  The pattern drops explicit
+and the bandwidth bw comes from that pattern.  The band is LAPACK upper band
+storage held column-major (a Fortran-ordered (bw + 1, n) array), so dpbtrf
+reads it without a transposing copy.  The pattern drops explicit
 zeros of the stencil, so with N components on a 2D grid with m_last nodes
 along the last axis bw is at most 2(m_last - 4) * N + N - 1 for 5-point
 operators (no cross-derivative terms) and (2(m_last - 4) + 2) * N + N - 1
@@ -32,6 +34,7 @@ by the residual instead of by roundoff-sized objective differences.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,11 +115,17 @@ def _zero_floor(op, supremand, clamp):
 # _power_mean, _log_ratio and _ratio_power take logs of zero costs on purpose;
 # their callers run them under np.errstate, once per Newton loop or public call
 def _power_mean(fv, p):
-    m = float(np.max(fv))
+    m = float(fv.max())
     if m <= 0.0:
         return 0.0
     powers = np.exp(p * _log_ratio(fv, m))
-    return m * float(np.mean(powers)) ** (1.0 / p)
+    return m * (float(powers.sum()) / powers.size) ** (1.0 / p)
+
+
+def _norm(x):
+    """Euclidean norm of all entries of a contiguous array, as np.linalg.norm computes it."""
+    x = x.ravel()
+    return math.sqrt(x.dot(x))
 
 
 def _bracket_closed(energy, peak, bracket_stop):
@@ -202,7 +211,7 @@ class _StageProblem:
         return lu, self.F.eval_field(self.coords, lu)
 
     def objective(self, x, fv):
-        return float(np.mean(_ratio_power(fv, self.scale, self.p)))
+        return float(_ratio_power(fv, self.scale, self.p).sum()) / self.n_eq
 
     def grad_state(self, x, lu, fv):
         gv = self.F.grad_field(self.coords, lu)
@@ -221,17 +230,22 @@ class _StageProblem:
         gv = state.gv
         blocks = (p - 1.0) * r_pm2[:, None, None] * gv[:, :, None] * gv[:, None, :]
         blocks += (m * state.r_pm1)[:, None, None] * hv
-        blocks *= p / (self.n_eq * m * m)
+        denom = self.n_eq * m * m
+        if denom == 0.0:
+            raise NoConvergence(
+                f"cost scale {m:.3e} is too small for the Newton system: its square underflows"
+            )
+        blocks *= p / denom
         return self.hessian_band(blocks)
 
     def hessian_band(self, blocks):
-        """Upper band storage of L^T D L for nodewise (N, N) blocks D_i."""
+        """Upper band storage of L^T D L for nodewise (N, N) blocks D_i, Fortran-ordered."""
         pattern = self.op.hessian_pattern
         v = pattern.coeffs
         local = v @ (blocks @ v.transpose(0, 2, 1))
         size = (pattern.bandwidth + 1) * pattern.n_dofs
         band = np.bincount(pattern.band_index, weights=local.ravel(), minlength=size + 1)
-        return band[:size].reshape(pattern.bandwidth + 1, pattern.n_dofs)
+        return band[:size].reshape(pattern.n_dofs, pattern.bandwidth + 1).T
 
     def residual(self, state):
         """||L^T w|| relative to the operator scale and the weight field size.
@@ -239,10 +253,10 @@ class _StageProblem:
         This is the quantity the optimality-system verifier reads off the dual
         field, so it is the natural convergence measure for each stage.
         """
-        wnorm = np.linalg.norm(state.w)
+        wnorm = _norm(state.w)
         if wnorm == 0.0:
             return 0.0
-        return float(np.linalg.norm(state.grad) / (self.op_scale * wnorm))
+        return _norm(state.grad) / (self.op_scale * wnorm)
 
     def settled(self, gain, obj, fv):
         """Whether a full step that lowered the objective G to obj by gain ends the stage.
@@ -253,7 +267,7 @@ class _StageProblem:
         """
         if self.bracket_stop is None or gain > ENERGY_RTOL * self.p * obj:
             return False
-        return not _bracket_closed(_power_mean(fv, self.p), float(np.max(fv)), self.bracket_stop)
+        return not _bracket_closed(_power_mean(fv, self.p), float(fv.max()), self.bracket_stop)
 
 
 class _TetheredProblem(_StageProblem):
@@ -289,7 +303,7 @@ class _TetheredProblem(_StageProblem):
         return band
 
     def residual(self, state):
-        gnorm = float(np.linalg.norm(state.grad))
+        gnorm = _norm(state.grad)
         if self.g0 is None:
             self.g0 = gnorm if gnorm > 0 else 1.0
         return gnorm / self.g0
@@ -311,8 +325,10 @@ class _BandedCholesky:
 def _factor_spd(band):
     """Banded Cholesky of the (regularized) Hessian; lifts the shift until it factors.
 
-    band is the LAPACK upper band storage of H, band[bw + i - j, j] = H[i, j];
-    its last (diagonal) row is overwritten with the shifted diagonal.  dpbtrf
+    band is the LAPACK upper band storage of H, band[bw + i - j, j] = H[i, j],
+    best Fortran-ordered (column-major) as hessian_band returns it, since
+    dpbtrf would otherwise copy it into that order; its last (diagonal) row
+    is overwritten with the shifted diagonal.  dpbtrf
     reports a non-positive leading minor as info > 0, which lifts the shift.
     """
     if not np.all(np.isfinite(band)):
@@ -355,7 +371,7 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label):
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lu, fv = problem.evaluate(x)
-        peak = float(np.max(fv))
+        peak = float(fv.max())
         if peak <= problem.zero_floor:
             return x, 0, 0.0, False
         problem.scale = peak
@@ -419,7 +435,7 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label):
             # scale-invariant, so rescaling costs nothing but keeps the scaled
             # objective inside [1/n_eq, 1] where Armijo comparisons stay meaningful;
             # the accepted trial's lu and fv are the state at the new x
-            peak_now = float(np.max(fv))
+            peak_now = float(fv.max())
             if peak_now <= problem.zero_floor:
                 return x, iters, 0.0, False
             rescaled = abs(np.log(peak_now) - np.log(problem.scale)) > 0.2

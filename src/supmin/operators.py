@@ -95,7 +95,9 @@ class HessianPattern:
     contributes coeffs[e] @ D_e @ coeffs[e].T to the Hessian.  band_index maps
     each entry (e, k, l) of those (n_eq, K, K) products to its flat position
     in the (bandwidth + 1, n_dofs) upper band, band[bandwidth + i - j, j] =
-    H[i, j]; lower-triangle and padding pairs go to the trash slot
+    H[i, j], stored column-major (Fortran order, the layout LAPACK reads):
+    H[i, j] sits at flat index j * (bandwidth + 1) + bandwidth + i - j.
+    Lower-triangle and padding pairs go to the trash slot
     (bandwidth + 1) * n_dofs just past the band.
     """
 
@@ -132,7 +134,7 @@ def _hessian_pattern(free_matrix, n_comp):
     ci = col_of[:, :, None]
     cj = col_of[:, None, :]
     band_index = np.where(
-        (ci >= 0) & (ci <= cj), (bw + ci - cj) * n_dofs + cj, (bw + 1) * n_dofs
+        (ci >= 0) & (ci <= cj), cj * (bw + 1) + (bw + ci - cj), (bw + 1) * n_dofs
     )
     return HessianPattern(
         coeffs=coeffs, band_index=band_index.ravel(), bandwidth=bw, n_dofs=n_dofs

@@ -110,6 +110,11 @@ class WeightedPowerNorm(Supremand):
     to keep F(x, 0) = 0.  alpha may be a constant or a callable on point
     arrays; callables need explicit (alpha_min, alpha_max) bounds for the
     growth constant.
+
+    The squared Euclidean norm (q = 2, eps = 0) is evaluated in closed form:
+    F = alpha * sum xi_k^2, F_xi = alpha * 2 xi, F_xixi = alpha * 2 I.  These
+    are exactly the values the general formulas give at q = 2 (s^1 = s,
+    S^0 = 1, a zero rank-one term), without their powers and masks.
     """
 
     def __init__(self, n_components, q=2.0, alpha=1.0, eps=0.0, alpha_bounds=None):
@@ -120,6 +125,7 @@ class WeightedPowerNorm(Supremand):
             raise ValueError("q < 2 requires a smoothing eps > 0")
         self.q = q
         self.eps = float(eps)
+        self._quadratic = q == 2.0 and self.eps == 0.0
         self.alpha = alpha
         self.n_components = int(n_components)
         if callable(alpha):
@@ -136,12 +142,18 @@ class WeightedPowerNorm(Supremand):
         c_upper = 2.0 * a_max * n ** max(0.0, (2.0 - q) / q)
         self.c = max(c_lower, c_upper)
 
-    def _alpha_at(self, points, m):
-        if callable(self.alpha):
-            if points is None:
-                raise ValueError("spatial alpha needs point coordinates")
-            return np.asarray(self.alpha(np.atleast_2d(points)), dtype=np.float64).reshape(m)
-        return np.full(m, float(self.alpha))
+    def _weighted(self, points, field):
+        """alpha(x) * field, with the nodes along the first axis of field.
+
+        A constant alpha multiplies as a Python float; a callable one is
+        evaluated at the points.
+        """
+        if not callable(self.alpha):
+            return float(self.alpha) * field
+        if points is None:
+            raise ValueError("spatial alpha needs point coordinates")
+        alpha = np.asarray(self.alpha(np.atleast_2d(points)), dtype=np.float64)
+        return alpha.reshape(field.shape[:1] + (1,) * (field.ndim - 1)) * field
 
     def _core(self, values):
         q = self.q
@@ -153,12 +165,31 @@ class WeightedPowerNorm(Supremand):
 
     def eval_field(self, points, values):
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-        _, big_s, offset = self._core(values)
-        base = big_s ** (2.0 / self.q) - offset
-        return self._alpha_at(points, values.shape[0]) * base
+        if self._quadratic:
+            return self._weighted(points, (values**2).sum(axis=1))
+        return self._eval_general(points, values)
 
     def grad_field(self, points, values):
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+        if self._quadratic:
+            return self._weighted(points, 2.0 * values)
+        return self._grad_general(points, values)
+
+    def hess_field(self, points, values):
+        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+        if self._quadratic:
+            m, n = values.shape
+            hess = np.zeros((m, n * n))
+            hess[:, :: n + 1] = 2.0   # the diagonal of each flattened (n, n) block
+            return self._weighted(points, hess.reshape(m, n, n))
+        return self._hess_general(points, values)
+
+    def _eval_general(self, points, values):
+        _, big_s, offset = self._core(values)
+        base = big_s ** (2.0 / self.q) - offset
+        return self._weighted(points, base)
+
+    def _grad_general(self, points, values):
         q = self.q
         s, big_s, _ = self._core(values)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -166,11 +197,10 @@ class WeightedPowerNorm(Supremand):
         outer = np.where(big_s > 0.0, outer, 0.0 if q != 2.0 else 1.0)
         t = s ** (q / 2.0 - 1.0)
         g = 2.0 * outer[:, None] * t * values
-        return self._alpha_at(points, values.shape[0])[:, None] * g
+        return self._weighted(points, g)
 
-    def hess_field(self, points, values):
-        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-        m, n = values.shape
+    def _hess_general(self, points, values):
+        n = values.shape[1]
         q = self.q
         s, big_s, _ = self._core(values)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,7 +217,7 @@ class WeightedPowerNorm(Supremand):
         diag = 2.0 * p2[:, None] * t * (1.0 + (q - 2.0) * ratio)
         hess = rank_one
         hess[:, np.arange(n), np.arange(n)] += diag
-        return self._alpha_at(points, m)[:, None, None] * hess
+        return self._weighted(points, hess)
 
     def eval(self, x, xi):
         return float(self.eval_field(_point_array(x), np.atleast_2d(xi))[0])

@@ -65,6 +65,8 @@ def test_run_produces_verified_report(tmp_path):
     assert all(b >= a - 1e-8 for a, b in zip(energies, energies[1:]))
     assert all(e - 1e-8 <= e_inf <= m + 1e-8 for e, m in zip(energies, peaks))
     assert (out / "oracle.txt").exists()
+    # no stage stalled, so the report names none
+    assert "stalled_stages" not in entries
 
     fields = np.loadtxt(out / "fields.dat")
     assert fields.shape == (51, 5)  # x, u, Lu, F, f
@@ -122,6 +124,33 @@ def test_run_zero_energy_branch(tmp_path):
     entries, rows = read_report(out)
     assert entries["degenerate"] == "true"
     assert float(entries["e_inf_estimate"]) <= 1e-6
+
+
+STALL_CFG = """
+domain.dim = 1
+domain.nodes = 41
+bc.kind = symmetric_velocity
+schedule.p_max = 64
+tol.newton = 1e-16
+"""
+
+
+def test_report_names_stalled_stages(tmp_path):
+    # a newton_tol below the residual floor makes the p = 64 stage stall
+    cfg = write(tmp_path, "stall.cfg", STALL_CFG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    entries, _ = read_report(out)
+    assert entries["stalled_stages"] == format(64.0, ".17e")
+
+
+def test_tiny_data_is_solver_error(tmp_path, capsys):
+    # the squared cost scale underflows to 0 in the Newton system
+    text = ("domain.dim = 2\ndomain.nodes = 15\nfield.components = 1\n"
+            "bc.kind = sinusoidal\nbc.amplitude = 1e-100\n")
+    cfg = write(tmp_path, "tiny.cfg", text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "cost scale" in capsys.readouterr().err
 
 
 def test_invalid_exponent_rejected(tmp_path):

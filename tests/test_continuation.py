@@ -485,6 +485,8 @@ def test_hessian_band_matches_dense(shape, n_comp, tensor, zero_nodes):
     band = problem.hessian_band(blocks)
     bw = problem.op.hessian_pattern.bandwidth
     assert band.shape == (bw + 1, dense.shape[0])
+    # column-major, the layout dpbtrf reads without a transposing copy
+    assert band.flags.f_contiguous
     # every nonzero of the Hessian lies inside the band
     assert not np.any(np.triu(dense, bw + 1))
     np.testing.assert_allclose(band, _upper_band(dense, bw),

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import symmetric_velocity_profile
 
-from supmin import DimensionMismatch, SupremalMinimizer
+from supmin import DimensionMismatch, SupminError, SupremalMinimizer
 
 
 def small_solver(**overrides):
@@ -112,3 +112,11 @@ def test_value_scales_with_amplitude_squared(cubic_unit_value, k):
     est = SupremalMinimizer(nodes=41).fit(amp * symmetric_velocity_profile(t))
     assert not est.report_.degenerate
     assert est.e_inf_ / amp**2 == pytest.approx(cubic_unit_value, rel=1e-8)
+
+
+@pytest.mark.parametrize("amp", [1e-100, 1e-150])
+def test_tiny_data_raise_solver_error(amp):
+    # the squared cost scale underflows to 0: a solver error, not ZeroDivisionError
+    t = np.linspace(0.0, 1.0, 41)
+    with pytest.raises(SupminError, match="cost scale"):
+        SupremalMinimizer(nodes=41).fit(amp * symmetric_velocity_profile(t))

@@ -275,3 +275,24 @@ def test_custom_supremand_default_field_loops():
     np.testing.assert_allclose(quad.eval_field(None, values), ref.eval_field(None, values))
     np.testing.assert_allclose(quad.grad_field(None, values), ref.grad_field(None, values))
     np.testing.assert_allclose(quad.hess_field(None, values), ref.hess_field(None, values))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("spatial", [False, True])
+def test_quadratic_closed_form_matches_general_formulas(n, spatial):
+    # q = 2 without smoothing is evaluated in closed form; the general
+    # formulas give the same bits on normal-range inputs
+    if spatial:
+        F = WeightedPowerNorm(n, q=2.0, alpha=lambda pts: 1.0 + pts[:, 0] ** 2,
+                              alpha_bounds=(1.0, 2.0))
+    else:
+        F = WeightedPowerNorm(n, q=2.0, alpha=1.7)
+    rng = np.random.default_rng(30 + n)
+    values = rng.standard_normal((200, n)) * 10.0 ** rng.uniform(-100.0, 100.0, (200, 1))
+    values[0] = 0.0
+    values[1, 0] = 0.0
+    points = rng.uniform(0.0, 1.0, (200, 2))
+    for closed, general in ((F.eval_field, F._eval_general),
+                            (F.grad_field, F._grad_general),
+                            (F.hess_field, F._hess_general)):
+        np.testing.assert_array_equal(closed(points, values), general(points, values))

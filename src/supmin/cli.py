@@ -33,8 +33,21 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
+# exception -> (exit code, stderr label, sweep.txt status); a subclass takes
+# the row of its nearest listed base
+_FAILURES = {
+    ConfigError: (EXIT_CONFIG, "config error", "config-error"),
+    VerificationFailure: (EXIT_VERIFY, "verification failure", "verify-failure"),
+    SupminError: (EXIT_SOLVER, "solver error", "solver-error"),
+}
+
 # rows of fields.dat formatted per write
 FIELDS_CHUNK_ROWS = 4096
+
+
+def _failure(exc):
+    """(exit code, stderr label, sweep.txt status) of a package exception."""
+    return next(_FAILURES[cls] for cls in type(exc).__mro__ if cls in _FAILURES)
 
 
 def _fmt(x):
@@ -72,7 +85,6 @@ def _solve_from_config(cfg):
         newton_tol=cfg.newton_tol,
         bracket_stop=cfg.bracket_stop,
         theta=cfg.theta,
-        seed=cfg.seed,
     )
     return est.fit(lambda coords: boundary_profile(cfg, coords))
 
@@ -199,20 +211,15 @@ def cmd_sweep(args):
     worst = EXIT_OK
     for path, cfg in zip(args.config, cfgs):
         sub = os.path.join(args.out, config_hash(cfg))
-        code, message = EXIT_OK, ""
+        status, message = "ok", ""
         try:
             _run_single(cfg, sub)
-        except VerificationFailure as exc:
-            code, message = EXIT_VERIFY, str(exc)
-        except ConfigError as exc:
-            code, message = EXIT_CONFIG, str(exc)
         except SupminError as exc:
-            code, message = EXIT_SOLVER, str(exc)
-        status = {EXIT_OK: "ok", EXIT_CONFIG: "config-error",
-                  EXIT_SOLVER: "solver-error", EXIT_VERIFY: "verify-failure"}[code]
+            code, _, status = _failure(exc)
+            message = str(exc)
+            worst = max(worst, code)
         lines.append(f"{path} -> {os.path.basename(sub)} : {status}"
                      + (f" ({message})" if message else ""))
-        worst = max(worst, code)
     with open(os.path.join(args.out, "sweep.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
@@ -318,15 +325,10 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except SupminError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        code, label, _ = _failure(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import AsymmetricTensor, ConfigError
 from .grid import Grid
 from .supremand import WeightedPowerNorm
 from .tensors import (
@@ -271,20 +271,29 @@ def build_grid(cfg):
 
 
 def build_tensor(cfg):
+    """The configured tensor; one that is not symmetric is a ConfigError naming its key."""
     lam = cfg.tensor_lam
-    if cfg.tensor_kind == "identity":
-        return identity_tensor(cfg.dim, cfg.components, lam=lam if lam is not None else 1.0)
-    if cfg.tensor_kind == "constant":
-        entries = np.array(cfg.tensor_entries).reshape(
-            cfg.dim, cfg.dim, cfg.components, cfg.components
-        )
-        return constant_tensor(entries, lam=lam if lam is not None else 1.0)
-    if cfg.tensor_kind == "block_diagonal":
-        blocks = [np.array(b).reshape(cfg.dim, cfg.dim) for b in cfg.tensor_blocks]
-        return block_diagonal_tensor(blocks, lam=lam)
-    if cfg.tensor_kind == "det_coupled":
-        return det_coupled_tensor(cfg.tensor_gamma, lam=lam)
-    raise ConfigError(f"tensor.kind: unknown kind {cfg.tensor_kind!r}")
+    key = {"constant": "tensor.entries", "block_diagonal": "tensor.blocks"}.get(
+        cfg.tensor_kind, "tensor.kind")
+    try:
+        if cfg.tensor_kind == "identity":
+            tensor = identity_tensor(cfg.dim, cfg.components, lam=lam if lam is not None else 1.0)
+        elif cfg.tensor_kind == "constant":
+            entries = np.array(cfg.tensor_entries).reshape(
+                cfg.dim, cfg.dim, cfg.components, cfg.components
+            )
+            tensor = constant_tensor(entries, lam=lam if lam is not None else 1.0)
+        elif cfg.tensor_kind == "block_diagonal":
+            blocks = [np.array(b).reshape(cfg.dim, cfg.dim) for b in cfg.tensor_blocks]
+            tensor = block_diagonal_tensor(blocks, lam=lam)
+        elif cfg.tensor_kind == "det_coupled":
+            tensor = det_coupled_tensor(cfg.tensor_gamma, lam=lam)
+        else:
+            raise ConfigError(f"tensor.kind: unknown kind {cfg.tensor_kind!r}")
+        tensor.check_symmetry()
+    except (AsymmetricTensor, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    return tensor
 
 
 def alpha_bounds_on_box(coeffs, lo, hi):

@@ -62,8 +62,6 @@ class SupremalMinimizer:
     newton_tol, bracket_stop, theta : float
         Stage tolerance, bracket stopping fraction, and verifier active-set
         threshold.  Zero energy needs no level: it is the data's roundoff floor.
-    seed : int
-        Recorded for provenance; the solve itself is deterministic.
 
     Attributes (after fit)
     ----------------------
@@ -90,7 +88,6 @@ class SupremalMinimizer:
         newton_tol=1e-9,
         bracket_stop=0.01,
         theta=0.1,
-        seed=0,
     ):
         self.nodes = nodes
         self.lo = lo
@@ -106,7 +103,6 @@ class SupremalMinimizer:
         self.newton_tol = newton_tol
         self.bracket_stop = bracket_stop
         self.theta = theta
-        self.seed = seed
 
     @classmethod
     def _param_names(cls):

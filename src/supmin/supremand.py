@@ -16,45 +16,43 @@ ZERO_RADIUS = 1e-14  # below this, the gradient-ray map is pinned to 0
 
 
 class Supremand:
-    """Base class: scalar cost with gradient/Hessian access and growth constant c.
+    """Base class: scalar cost F(x, xi) with gradient/Hessian access and growth constant c.
 
-    Subclasses implement the pointwise methods; the *_field variants evaluate
-    over arrays of nodes and default to plain loops.  x may be None for costs
-    without spatial dependence.
+    A subclass implements the field methods eval_field, grad_field and
+    hess_field and sets c and n_components.  The field methods take node
+    coordinates points of shape (M, n), or None for costs without spatial
+    dependence, and values xi of shape (M, N); they return F of shape (M,),
+    F_xi of shape (M, N) and F_xixi of shape (M, N, N).  The pointwise eval,
+    grad and hess at one node x are their first rows.
     """
 
     c = None
     n_components = None
 
     def eval(self, x, xi):
-        raise NotImplementedError
+        return float(self.eval_field(_point_array(x), np.atleast_2d(xi))[0])
 
     def grad(self, x, xi):
-        raise NotImplementedError
+        return self.grad_field(_point_array(x), np.atleast_2d(xi))[0]
 
     def hess(self, x, xi):
-        raise NotImplementedError
-
-    def eval_field(self, points, values):
-        return np.array([self.eval(_row(points, k), values[k]) for k in range(len(values))])
-
-    def grad_field(self, points, values):
-        return np.array([self.grad(_row(points, k), values[k]) for k in range(len(values))])
-
-    def hess_field(self, points, values):
-        return np.array([self.hess(_row(points, k), values[k]) for k in range(len(values))])
+        return self.hess_field(_point_array(x), np.atleast_2d(xi))[0]
 
     def scaled(self, factor):
         """The cost factor * F with a growth constant valid for the rescaling."""
         return _ScaledSupremand(self, float(factor))
 
 
-def _row(points, k):
-    return None if points is None else points[k]
+def _point_array(x):
+    return None if x is None else np.atleast_2d(np.asarray(x, dtype=np.float64))
 
 
 class CustomSupremand(Supremand):
-    """Wrap user-supplied callables (eval, grad, hess) with a declared c."""
+    """Wrap user-supplied pointwise callables (eval, grad, hess) with a declared c.
+
+    Each callable takes one node x (None without point coordinates) and one
+    xi; the field methods loop over the nodes.
+    """
 
     def __init__(self, eval_fn, grad_fn, hess_fn, c, n_components):
         self._eval = eval_fn
@@ -63,17 +61,24 @@ class CustomSupremand(Supremand):
         self.c = float(c)
         self.n_components = int(n_components)
 
-    def eval(self, x, xi):
-        return float(self._eval(x, np.asarray(xi, dtype=np.float64)))
+    def _each(self, fn, points, values):
+        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+        return np.array([fn(None if points is None else points[k], values[k])
+                         for k in range(len(values))], dtype=np.float64)
 
-    def grad(self, x, xi):
-        return np.asarray(self._grad(x, np.asarray(xi, dtype=np.float64)), dtype=np.float64)
+    def eval_field(self, points, values):
+        return self._each(self._eval, points, values)
 
-    def hess(self, x, xi):
-        return np.asarray(self._hess(x, np.asarray(xi, dtype=np.float64)), dtype=np.float64)
+    def grad_field(self, points, values):
+        return self._each(self._grad, points, values)
+
+    def hess_field(self, points, values):
+        return self._each(self._hess, points, values)
 
 
 class _ScaledSupremand(Supremand):
+    """factor * base; the growth constant widens by max(factor, 1 / factor)."""
+
     def __init__(self, base, factor):
         if factor <= 0:
             raise ValueError("scaling factor must be positive")
@@ -81,15 +86,6 @@ class _ScaledSupremand(Supremand):
         self.factor = factor
         self.c = base.c * max(factor, 1.0 / factor)
         self.n_components = base.n_components
-
-    def eval(self, x, xi):
-        return self.factor * self.base.eval(x, xi)
-
-    def grad(self, x, xi):
-        return self.factor * self.base.grad(x, xi)
-
-    def hess(self, x, xi):
-        return self.factor * self.base.hess(x, xi)
 
     def eval_field(self, points, values):
         return self.factor * self.base.eval_field(points, values)
@@ -219,34 +215,6 @@ class WeightedPowerNorm(Supremand):
         hess[:, np.arange(n), np.arange(n)] += diag
         return self._weighted(points, hess)
 
-    def eval(self, x, xi):
-        return float(self.eval_field(_point_array(x), np.atleast_2d(xi))[0])
-
-    def grad(self, x, xi):
-        return self.grad_field(_point_array(x), np.atleast_2d(xi))[0]
-
-    def hess(self, x, xi):
-        return self.hess_field(_point_array(x), np.atleast_2d(xi))[0]
-
-    def scaled(self, factor):
-        factor = float(factor)
-        if factor <= 0:
-            raise ValueError("scaling factor must be positive")
-        if callable(self.alpha):
-            base_alpha = self.alpha
-            alpha = lambda pts: factor * np.asarray(base_alpha(pts))
-            bounds = (factor * self.alpha_bounds[0], factor * self.alpha_bounds[1])
-        else:
-            alpha = factor * float(self.alpha)
-            bounds = None
-        return WeightedPowerNorm(
-            self.n_components, q=self.q, alpha=alpha, eps=self.eps, alpha_bounds=bounds
-        )
-
-
-def _point_array(x):
-    return None if x is None else np.atleast_2d(np.asarray(x, dtype=np.float64))
-
 
 def convexity_gap(supremand, x, xi):
     """F_xi(x, xi) . xi - F(x, xi); nonnegative for convex costs with F(x, 0) = 0."""
@@ -254,23 +222,11 @@ def convexity_gap(supremand, x, xi):
     return float(supremand.grad(x, xi) @ xi - supremand.eval(x, xi))
 
 
-def duality_map(supremand, x, xi):
-    """F(x, xi) * F_xi / |F_xi|, extended by 0 at the origin.
-
-    The image has magnitude F(x, xi) and points along the cost gradient.
-    """
-    xi = np.asarray(xi, dtype=np.float64)
-    if np.linalg.norm(xi) < ZERO_RADIUS:
-        return np.zeros_like(xi)
-    g = supremand.grad(x, xi)
-    ng = np.linalg.norm(g)
-    if ng == 0.0:
-        return np.zeros_like(xi)
-    return supremand.eval(x, xi) * g / ng
-
-
 def duality_map_field(supremand, points, values):
-    """Vectorized gradient-ray map over nodal fields; shape (M, N)."""
+    """F(x, xi) * F_xi / |F_xi| over nodal fields, extended by 0 at the origin; shape (M, N).
+
+    Each image row has magnitude F(x, xi) and points along the cost gradient.
+    """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     f = supremand.eval_field(points, values)
     g = supremand.grad_field(points, values)
@@ -280,6 +236,11 @@ def duality_map_field(supremand, points, values):
     out = (f / safe)[:, None] * g
     out[small] = 0.0
     return out
+
+
+def duality_map(supremand, x, xi):
+    """The gradient-ray map at one node: the one row of duality_map_field."""
+    return duality_map_field(supremand, _point_array(x), xi)[0]
 
 
 def duality_map_jacobian(supremand, x, xi):

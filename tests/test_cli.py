@@ -342,6 +342,39 @@ def test_check_tensor_det_coupled(tmp_path, capsys):
     assert float(values["legendre_hadamard_min"]) == pytest.approx(1.0, abs=1e-6)
 
 
+ASYMMETRIC_TENSORS = {
+    "tensor.entries": ("domain.dim = 2\ndomain.nodes = 11\n"
+                       "tensor.kind = constant\ntensor.entries = 1,0.5,0,1\n"),
+    "tensor.blocks": ("domain.dim = 2\ndomain.nodes = 11\nfield.components = 2\n"
+                      "tensor.kind = block_diagonal\ntensor.blocks = 1,0,0,1;2,0.5,0.1,1\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "check-tensor"])
+@pytest.mark.parametrize("key", sorted(ASYMMETRIC_TENSORS))
+def test_asymmetric_tensor_is_config_error(tmp_path, capsys, command, key):
+    cfg = write(tmp_path, "asym.cfg", ASYMMETRIC_TENSORS[key] + "bc.kind = sinusoidal\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + key)
+    assert not (tmp_path / "o" / "report.txt").exists()
+
+
+def test_sweep_status_per_failure_kind(tmp_path):
+    good = write(tmp_path, "good.cfg", AFFINE_CFG)
+    asym = write(tmp_path, "asym.cfg", ASYMMETRIC_TENSORS["tensor.entries"] + "bc.kind = sinusoidal\n")
+    tiny = write(tmp_path, "tiny.cfg", "domain.dim = 2\ndomain.nodes = 15\n"
+                 "bc.kind = sinusoidal\nbc.amplitude = 1e-100\n")
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--out", str(out)]
+    for path in (good, asym, tiny):
+        argv += ["--config", path]
+    assert main(argv) == 3
+    statuses = [line.split(" : ")[1].split(" (")[0]
+                for line in (out / "sweep.txt").read_text().splitlines()]
+    assert statuses == ["ok", "config-error", "solver-error"]
+
+
 def test_boundary_file_round_trip(tmp_path):
     t = np.linspace(0.0, 1.0, 31)
     table = (2 * t**3 - 3 * t**2 + t).reshape(-1, 1)

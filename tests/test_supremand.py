@@ -4,6 +4,7 @@ import pytest
 from supmin import (
     CustomSupremand,
     GrowthViolation,
+    Supremand,
     WeightedPowerNorm,
     check_growth,
     convexity_gap,
@@ -61,13 +62,15 @@ def test_duality_map_magnitude_equals_cost(q):
 
 
 def test_duality_map_field_matches_pointwise():
-    F = WeightedPowerNorm(2, q=3.0)
     rng = np.random.default_rng(2)
     values = rng.standard_normal((50, 2))
     values[7] = 0.0
-    batch = duality_map_field(F, None, values)
-    for k in range(50):
-        np.testing.assert_allclose(batch[k], duality_map(F, None, values[k]), atol=1e-13)
+    for q in (2.0, 3.0):
+        F = WeightedPowerNorm(2, q=q)
+        batch = duality_map_field(F, None, values)
+        assert not batch[7].any()
+        for k in range(50):
+            np.testing.assert_array_equal(batch[k], duality_map(F, None, values[k]))
 
 
 def _fd_jacobian(F, xi, step=1e-6):
@@ -235,6 +238,62 @@ def test_scaled_supremand():
     assert G.eval(None, xi) == pytest.approx(2.0 * F.eval(None, xi), rel=1e-14)
     np.testing.assert_allclose(G.grad(None, xi), 2.0 * F.grad(None, xi))
     check_growth(G, 100, 2.0, seed=9)  # the adjusted constant stays valid
+
+
+@pytest.mark.parametrize("spatial", [False, True])
+def test_scaled_below_one_keeps_growth(spatial):
+    # c * max(f, 1/f) bounds both witnesses of f * F for f < 1 too
+    if spatial:
+        F = WeightedPowerNorm(1, q=2.0, alpha=lambda pts: 1.0 + pts[:, 0], alpha_bounds=(1.0, 2.0))
+        points = [np.array([0.0]), np.array([1.0])]
+    else:
+        F, points = WeightedPowerNorm(2, q=2.0), None
+    G = F.scaled(0.5)
+    assert G.c == 2.0 * F.c
+    xi = np.full(F.n_components, 0.7)
+    x = None if points is None else points[1]
+    assert G.eval(x, xi) == 0.5 * F.eval(x, xi)
+    np.testing.assert_array_equal(G.hess(x, xi), 0.5 * F.hess(x, xi))
+    check_growth(G, 200, 5.0, points=points, seed=12)
+
+
+def test_scaling_rejects_nonpositive_factor():
+    for factor in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            l2_cost().scaled(factor)
+
+
+class _FieldOnlyQuadratic(Supremand):
+    """xi . M xi with M = [[2, 1], [1, 3]], given only through the field methods."""
+
+    M = np.array([[2.0, 1.0], [1.0, 3.0]])
+    c = 7.3  # > max(1 / lambda_min(M), 2 lambda_max(M)) = 2 * 3.618...
+    n_components = 2
+
+    def eval_field(self, points, values):
+        values = np.asarray(values)
+        return np.einsum("mi,ij,mj->m", values, self.M, values)
+
+    def grad_field(self, points, values):
+        return 2.0 * np.asarray(values) @ self.M
+
+    def hess_field(self, points, values):
+        return np.broadcast_to(2.0 * self.M, (len(values), 2, 2))
+
+
+def test_field_methods_give_pointwise_methods():
+    F = _FieldOnlyQuadratic()
+    xi = np.array([1.0, 2.0])
+    assert F.eval(None, xi) == 18.0
+    assert isinstance(F.eval(None, xi), float)
+    np.testing.assert_array_equal(F.grad(None, [1.0, 2.0]), [8.0, 14.0])
+    np.testing.assert_array_equal(F.hess(None, xi), [[4.0, 2.0], [2.0, 6.0]])
+    # the derived pointwise methods feed the pointwise calculus
+    assert convexity_gap(F, None, xi) == 18.0
+    eta = duality_map(F, None, xi)
+    np.testing.assert_allclose(duality_map_inverse(F, None, eta), xi, rtol=1e-10)
+    assert duality_map_jacobian_det(F, None, xi) > 0.0
+    check_growth(F, 100, 3.0, seed=13)
 
 
 def test_singular_hessian_detected_on_hyperplane():

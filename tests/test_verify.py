@@ -5,6 +5,7 @@ from conftest import make_1d_problem
 
 from supmin import (
     ClampedBC1D,
+    CustomSupremand,
     DegenerateField,
     absolute_min_spotcheck,
     apply_operator,
@@ -149,6 +150,21 @@ def test_rescaling_invariance_identity_and_double(bang_bang_problem):
     dist, ratio = rescaling_invariance_check(op, F, u0, factor=2.0, p_max=256.0)
     assert dist <= 1e-6 * (1.0 + np.max(np.abs(u0)))
     assert ratio == pytest.approx(2.0, rel=1e-8)
+
+
+def test_rescaling_invariance_custom_supremand():
+    # the generic scaling wrapper over a cost given by pointwise callables
+    grid, op, F, u0 = make_1d_problem(nodes=41, profile="symmetric")
+    quad = CustomSupremand(
+        eval_fn=lambda x, xi: float(xi @ xi),
+        grad_fn=lambda x, xi: 2.0 * xi,
+        hess_fn=lambda x, xi: 2.0 * np.eye(xi.size),
+        c=2.0,
+        n_components=1,
+    )
+    dist, ratio = rescaling_invariance_check(op, quad, u0, factor=3.0, p_max=64.0)
+    assert dist <= 1e-6 * (1.0 + np.max(np.abs(u0)))
+    assert ratio == pytest.approx(3.0, rel=1e-8)
 
 
 def test_rescaling_invariance_zero_energy_safe():

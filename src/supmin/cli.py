@@ -2,12 +2,21 @@
 
 Exit codes: 0 success, 2 invalid configuration, 3 solver failure,
 4 verification failure.  Outputs are plain structured text; re-running with
-the same config and seed reproduces every byte.
+the same config reproduces every byte.
+
+``sweep`` parses every config first, then runs them in forked worker
+processes: one worker per usable CPU, capped by the number of distinct
+configs, each with scipy's OpenBLAS pinned to one thread.  Its outputs are
+byte-identical to ``run`` on each config.
 """
 
 import argparse
+import ctypes
+import glob
+import multiprocessing
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  unused; perfbench/tracer.py:146 patches this name
 
 import numpy as np
@@ -57,8 +66,6 @@ def _fmt(x):
 def _apply_overrides(cfg, args):
     """Write the override flags into the config text and validate it like a file."""
     items = dict(cfg.items)
-    if args.seed is not None:
-        items["seed"] = str(args.seed)
     if args.p_max is not None:
         items["schedule.p_max"] = repr(float(args.p_max))
         items.pop("schedule.p", None)
@@ -112,7 +119,6 @@ def _write_report(out_dir, cfg, report, oracle_row):
     lines = [
         "status = ok",
         f"config_hash = {config_hash(cfg)}",
-        f"seed = {cfg.seed}",
         f"dim = {cfg.dim}",
         f"nodes = {','.join(str(m) for m in cfg.nodes)}",
         f"components = {cfg.components}",
@@ -202,28 +208,79 @@ def cmd_run(args):
     return EXIT_OK
 
 
+def _scipy_openblas():
+    """scipy's bundled OpenBLAS as a ctypes library, or None where scipy ships none."""
+    import scipy
+
+    site = os.path.dirname(os.path.dirname(scipy.__file__))
+    found = sorted(glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so")))
+    return ctypes.CDLL(found[0]) if found else None
+
+
+def _pin_blas_thread():
+    """Worker initializer: one OpenBLAS thread, so workers do not oversubscribe the CPUs."""
+    lib = _scipy_openblas()
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads", None)
+    if set_threads is None:
+        return
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    set_threads(1)
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep_pool(workers):
+    """Process pool of forked workers with one BLAS thread each.
+
+    The start method is named because fork is not the default everywhere: a
+    spawned or forkserver worker re-imports numpy and scipy, which costs more
+    than a small solve.
+    """
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_pin_blas_thread)
+
+
+def _sweep_item(cfg, out_dir):
+    """(exit code, sweep.txt status, message) of one config, run in a worker.
+
+    Package exceptions become the tuple here, so none has to be pickled back
+    to the parent.
+    """
+    try:
+        _run_single(cfg, out_dir)
+    except SupminError as exc:
+        code, _, status = _failure(exc)
+        return code, status, str(exc)
+    return EXIT_OK, "ok", ""
+
+
 def cmd_sweep(args):
     if not args.config:
         raise ConfigError("sweep: at least one --config is required")
     cfgs = [_apply_overrides(load_config(path), args) for path in args.config]
     os.makedirs(args.out, exist_ok=True)
+    keys = [config_hash(cfg) for cfg in cfgs]
+    # a config listed twice shares its subdirectory, so it is solved once
+    # (two workers writing one report.txt would race)
+    jobs = dict(zip(keys, cfgs))
+    with _sweep_pool(min(len(jobs), _usable_cpus())) as pool:
+        futures = {key: pool.submit(_sweep_item, cfg, os.path.join(args.out, key))
+                   for key, cfg in jobs.items()}
+        results = {key: future.result() for key, future in futures.items()}
     lines = []
-    worst = EXIT_OK
-    for path, cfg in zip(args.config, cfgs):
-        sub = os.path.join(args.out, config_hash(cfg))
-        status, message = "ok", ""
-        try:
-            _run_single(cfg, sub)
-        except SupminError as exc:
-            code, _, status = _failure(exc)
-            message = str(exc)
-            worst = max(worst, code)
-        lines.append(f"{path} -> {os.path.basename(sub)} : {status}"
-                     + (f" ({message})" if message else ""))
+    for path, key in zip(args.config, keys):
+        _, status, message = results[key]
+        lines.append(f"{path} -> {key} : {status}" + (f" ({message})" if message else ""))
     with open(os.path.join(args.out, "sweep.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
-    return worst
+    return max(code for code, _, _ in results.values())
 
 
 def cmd_oracle(args):
@@ -294,7 +351,6 @@ def build_parser():
         else:
             p.add_argument("--config", required=config_required, help="config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="override seed")
         p.add_argument("--p-max", dest="p_max", type=float, help="override schedule.p_max")
         p.add_argument("--nodes", help="override domain.nodes (comma-separated)")
 

@@ -27,7 +27,6 @@ Recognized keys (defaults in parentheses):
     tol.theta (0.1)           active-set threshold for the verifier
     check.r_system (0.05)     verification bound: r_system <= this * e_inf
     check.r_harmonic (1e-6)   verification bound on the adjoint residual
-    seed (0)                  rng seed recorded with the run
 
 Every number must be finite; a nan or inf value is a config error.
 """
@@ -78,7 +77,6 @@ class RunConfig:
     theta: float = 0.1
     r_system_frac: float = 0.05
     r_harmonic_max: float = 1e-6
-    seed: int = 0
     items: dict = field(default_factory=dict)  # canonical parsed key/value text
 
 
@@ -244,8 +242,6 @@ def parse_config(text):
         setattr(cfg, attr, val)
     if not 0.0 < cfg.theta < 1.0:
         errors.append(f"tol.theta: must lie in (0, 1), got {cfg.theta}")
-
-    cfg.seed = number("seed", 0, int)
 
     unknown = sorted(set(items) - known)
     for key in unknown:

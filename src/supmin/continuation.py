@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench/tracer.py:126 patches this name
 
 from .errors import DegenerateEnergy, LineSearchStall, NoConvergence
@@ -184,6 +185,13 @@ class _State:
     grad: np.ndarray
 
 
+def _csr_matvec(mat, x):
+    """mat @ x for a float64 CSR matrix and vector: the kernel `@` runs, without its dispatch."""
+    out = np.zeros(mat.shape[0])
+    _sparsetools.csr_matvec(mat.shape[0], mat.shape[1], mat.indptr, mat.indices, mat.data, x, out)
+    return out
+
+
 class _StageProblem:
     """One fixed-exponent stage: peak-rescaled objective, gradient, Newton band, residual."""
 
@@ -201,7 +209,7 @@ class _StageProblem:
         self.bracket_stop = bracket_stop   # set on intermediate stages only
 
     def lu_of(self, x):
-        return (self.op.free_matrix @ x + self.clamp_part).reshape(
+        return (_csr_matvec(self.op.free_matrix, x) + self.clamp_part).reshape(
             self.n_eq, self.n_comp
         )
 
@@ -219,7 +227,7 @@ class _StageProblem:
         log_ratio = _log_ratio(fv, m)
         r_pm1 = _ratio_power(fv, m, p - 1.0, log_ratio)
         w = (p / (self.n_eq * m)) * r_pm1[:, None] * gv
-        grad = self.op.free_matrix_t @ w.ravel()
+        grad = _csr_matvec(self.op.free_matrix_t, w.ravel())
         return _State(lu=lu, fv=fv, gv=gv, log_ratio=log_ratio, r_pm1=r_pm1, w=w, grad=grad)
 
     def newton_band(self, state):

@@ -106,7 +106,7 @@ def test_criterion_1_same_config_through_cli(tmp_path):
     cfg.write_text(
         "domain.dim = 1\ndomain.nodes = 201\nfield.components = 1\n"
         "tensor.kind = identity\nsupremand.q = 2\nsupremand.alpha = 1\n"
-        "bc.kind = symmetric_velocity\nschedule.p_max = 4096\nseed = 0\n"
+        "bc.kind = symmetric_velocity\nschedule.p_max = 4096\n"
     )
     out = tmp_path / "out"
     start = time.monotonic()

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import re
 
@@ -19,7 +20,6 @@ supremand.q = 2
 supremand.alpha = 1
 bc.kind = symmetric_velocity
 schedule.p_max = 256
-seed = 0
 """
 
 AFFINE_CFG = """
@@ -186,19 +186,23 @@ def test_override_flags_hash_like_edited_config(tmp_path):
     cfg = write(tmp_path, "vec.cfg", VECTOR_CFG)
     args = supmin.cli.build_parser().parse_args(
         ["run", "--config", cfg, "--out", str(tmp_path / "o"),
-         "--nodes", "31", "--seed", "3", "--p-max", "32"])
+         "--nodes", "31", "--p-max", "32"])
     overridden = supmin.cli._apply_overrides(load_config(cfg), args)
     edited = VECTOR_CFG.replace("domain.nodes = 11", "domain.nodes = 31,31").replace(
-        "schedule.p_max = 64", "schedule.p_max = 32.0") + "seed = 3\n"
+        "schedule.p_max = 64", "schedule.p_max = 32.0")
     assert overridden.nodes == (31, 31)
     assert overridden.items["domain.nodes"] == "31,31"
     assert config_hash(overridden) == config_hash(parse_config(edited))
 
 
 def test_unknown_key_rejected(tmp_path):
-    for key in ("not.a.key", "tol.linear", "tol.degenerate"):
+    for key in ("not.a.key", "tol.linear", "tol.degenerate", "seed"):
         cfg = write(tmp_path, "bad.cfg", f"domain.dim = 1\n{key} = 3\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    cfg = write(tmp_path, "ok.cfg", AFFINE_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3"])
+    assert exc.value.code == 2
 
 
 # a value the parser accepts for each key of the config module's key list, and
@@ -211,7 +215,7 @@ DOC_KEY_VALUES = {
     "bc.kind": "quadratic", "bc.amplitude": "2", "bc.coeffs": "0.1,0.2",
     "bc.frequency": "3", "bc.file": "values.txt", "schedule.p": "2,8",
     "schedule.p_max": "64", "tol.newton": "1e-8", "tol.bracket_stop": "0.02",
-    "tol.theta": "0.2", "check.r_system": "0.1", "check.r_harmonic": "1e-5", "seed": "3",
+    "tol.theta": "0.2", "check.r_system": "0.1", "check.r_harmonic": "1e-5",
 }
 DOC_KEY_PREREQS = {
     "tensor.entries": "tensor.kind = constant\n",
@@ -251,10 +255,10 @@ def test_override_flags_change_hash(tmp_path):
     base = parse_config(SYMMETRIC_CFG)
     out = tmp_path / "o"
     assert main(["run", "--config", cfg_path, "--out", str(out),
-                 "--nodes", "41", "--p-max", "64", "--seed", "7"]) == 0
+                 "--nodes", "41", "--p-max", "64"]) == 0
     entries, rows = read_report(out)
     assert entries["nodes"] == "41"
-    assert entries["seed"] == "7"
+    assert "seed" not in entries
     assert rows[-1][0] <= 64.0
     assert entries["config_hash"] != config_hash(base)
 
@@ -360,19 +364,101 @@ def test_asymmetric_tensor_is_config_error(tmp_path, capsys, command, key):
     assert not (tmp_path / "o" / "report.txt").exists()
 
 
+def sweep(out, paths):
+    argv = ["sweep", "--out", str(out)]
+    for path in paths:
+        argv += ["--config", path]
+    return main(argv)
+
+
+def sweep_statuses(tmp_path, name, paths):
+    """Exit code and sweep.txt statuses of a sweep over paths."""
+    out = tmp_path / name
+    code = sweep(out, paths)
+    statuses = [line.split(" : ")[1].split(" (")[0]
+                for line in (out / "sweep.txt").read_text().splitlines()]
+    return code, statuses
+
+
 def test_sweep_status_per_failure_kind(tmp_path):
     good = write(tmp_path, "good.cfg", AFFINE_CFG)
     asym = write(tmp_path, "asym.cfg", ASYMMETRIC_TENSORS["tensor.entries"] + "bc.kind = sinusoidal\n")
     tiny = write(tmp_path, "tiny.cfg", "domain.dim = 2\ndomain.nodes = 15\n"
                  "bc.kind = sinusoidal\nbc.amplitude = 1e-100\n")
+    strict = write(tmp_path, "strict.cfg", SYMMETRIC_CFG + "check.r_harmonic = 1e-30\n")
+    assert sweep_statuses(tmp_path, "all", [good, asym, tiny]) == (
+        3, ["ok", "config-error", "solver-error"])
+    # each failure kind next to a passing config, both solved in workers
+    for bad, code, status in ((asym, 2, "config-error"), (tiny, 3, "solver-error"),
+                              (strict, 4, "verify-failure")):
+        assert sweep_statuses(tmp_path, status, [bad, good]) == (code, [status, "ok"])
+
+
+def assert_equals_run(sub, cfg, serial):
+    """The sweep subdirectory sub holds the bytes `supmin run` writes for cfg."""
+    assert main(["run", "--config", cfg, "--out", str(serial)]) == 0
+    for name in ("report.txt", "fields.dat"):
+        assert (sub / name).read_bytes() == (serial / name).read_bytes()
+
+
+def test_sweep_outputs_equal_run(tmp_path):
+    paths = [write(tmp_path, "sym.cfg", SYMMETRIC_CFG), write(tmp_path, "vec.cfg", VECTOR_CFG)]
     out = tmp_path / "sweep"
-    argv = ["sweep", "--out", str(out)]
-    for path in (good, asym, tiny):
-        argv += ["--config", path]
-    assert main(argv) == 3
-    statuses = [line.split(" : ")[1].split(" (")[0]
-                for line in (out / "sweep.txt").read_text().splitlines()]
-    assert statuses == ["ok", "config-error", "solver-error"]
+    assert sweep(out, paths) == 0
+    for k, path in enumerate(paths):
+        assert_equals_run(out / config_hash(load_config(path)), path, tmp_path / f"run{k}")
+
+
+def test_sweep_duplicate_config_solved_once(tmp_path, monkeypatch):
+    cfg = write(tmp_path, "vec.cfg", VECTOR_CFG)
+    log = tmp_path / "solved.log"
+    run_single = supmin.cli._run_single
+
+    def logged_run_single(cfg, out_dir):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(out_dir + "\n")
+        return run_single(cfg, out_dir)
+
+    monkeypatch.setattr(supmin.cli, "_run_single", logged_run_single)
+    out = tmp_path / "sweep"
+    assert sweep(out, [cfg, cfg]) == 0
+    assert len(log.read_text().splitlines()) == 1
+    subdirs = [d for d in out.iterdir() if d.is_dir()]
+    assert [d.name for d in subdirs] == [config_hash(load_config(cfg))]
+    assert (out / "sweep.txt").read_text().count(f"-> {subdirs[0].name} : ok") == 2
+    assert_equals_run(subdirs[0], cfg, tmp_path / "run")
+
+
+@pytest.mark.parametrize("extra, code", [("", 0), ("check.r_harmonic = 1e-30\n", 4)])
+def test_sweep_leaves_no_worker_running(tmp_path, extra, code):
+    good = write(tmp_path, "good.cfg", AFFINE_CFG)
+    other = write(tmp_path, "other.cfg", SYMMETRIC_CFG + extra)
+    assert sweep(tmp_path / "o", [good, other]) == code
+    assert multiprocessing.active_children() == []
+
+
+def openblas_threads():
+    return supmin.cli._scipy_openblas().scipy_openblas_get_num_threads()
+
+
+@pytest.mark.parametrize("found", [None, object()], ids=["no-library", "no-symbol"])
+def test_blas_pin_without_library_is_noop(monkeypatch, found):
+    lib = supmin.cli._scipy_openblas()
+    count = getattr(lib, "scipy_openblas_get_num_threads", lambda: None)
+    before = count()
+    monkeypatch.setattr(supmin.cli, "_scipy_openblas", lambda: found)
+    supmin.cli._pin_blas_thread()
+    assert count() == before
+
+
+def test_sweep_worker_uses_one_blas_thread():
+    lib = supmin.cli._scipy_openblas()
+    if getattr(lib, "scipy_openblas_get_num_threads", None) is None:
+        pytest.skip("scipy ships no OpenBLAS with a thread-count API here")
+    before = openblas_threads()
+    with supmin.cli._sweep_pool(1) as pool:
+        assert pool.submit(openblas_threads).result(timeout=60) == 1
+    assert openblas_threads() == before
 
 
 def test_boundary_file_round_trip(tmp_path):

@@ -33,6 +33,7 @@ from supmin import (
 from supmin.cli import _solve_from_config
 from supmin.config import boundary_profile, parse_config
 from supmin.continuation import (
+    _csr_matvec,
     _factor_spd,
     _ratio_power,
     _StageProblem,
@@ -452,6 +453,18 @@ def _stage_hessian_problem(shape, n_comp, seed, tensor=None):
     m = np.random.default_rng(seed).standard_normal((op.n_eq, n_comp, n_comp))
     blocks = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(n_comp)
     return problem, blocks
+
+
+@pytest.mark.parametrize("shape, tensor", [
+    ((199,), identity_tensor(1, 1)),
+    ((13, 11), det_coupled_tensor(0.5)),   # 2D, N = 2, with cross terms
+])
+def test_csr_matvec_equals_matmul_bitwise(shape, tensor):
+    op = assemble_operator(Grid(shape), tensor)
+    rng = np.random.default_rng(4)
+    for mat in (op.free_matrix, op.free_matrix_t):
+        x = rng.standard_normal(mat.shape[1])
+        assert np.array_equal(_csr_matvec(mat, x), mat @ x)
 
 
 def _dense_hessian(op, blocks):

@@ -25,7 +25,6 @@ from .bangbang import ClampedBC1D, solve_bang_bang
 from .config import (
     _parse_numbers,
     boundary_profile,
-    build_grid,
     build_supremand,
     build_tensor,
     config_hash,
@@ -294,7 +293,7 @@ def cmd_oracle(args):
     else:
         if args.config is None:
             raise ConfigError("oracle: provide --config or --bc")
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config)
         supremand = build_supremand(cfg)
         row = _oracle_for_config(cfg, supremand)
         if row is None:
@@ -311,21 +310,15 @@ def cmd_oracle(args):
 
 
 def cmd_check_tensor(args):
-    cfg = _apply_overrides(load_config(args.config), args)
-    tensor = build_tensor(cfg)
-    grid = build_grid(cfg)
-    points = grid.coords() if not tensor.is_constant else None
-    dev = tensor.check_symmetry(points=points)
+    # every tensor a config builds is constant, so no sample points are needed
+    tensor = build_tensor(load_config(args.config))
+    dev = tensor.check_symmetry()
+    legendre = check_legendre(tensor)
+    lh = check_legendre_hadamard(tensor)
     lines = [f"symmetry_deviation = {_fmt(dev)}", f"mode = {tensor.mode}",
-             f"lambda_declared = {_fmt(tensor.lam)}"]
-    legendre = check_legendre(tensor, sample_points=points)
-    lines.append(f"legendre_min = {_fmt(legendre)}")
-    if tensor.is_constant:
-        lh = check_legendre_hadamard(tensor)
-        lines.append(f"legendre_hadamard_min = {_fmt(lh)}")
-        declared_ok = (lh if tensor.mode == LEGENDRE_HADAMARD else legendre) >= tensor.lam - 1e-6
-    else:
-        declared_ok = legendre >= tensor.lam - 1e-6
+             f"lambda_declared = {_fmt(tensor.lam)}", f"legendre_min = {_fmt(legendre)}",
+             f"legendre_hadamard_min = {_fmt(lh)}"]
+    declared_ok = (lh if tensor.mode == LEGENDRE_HADAMARD else legendre) >= tensor.lam - 1e-6
     lines.append(f"declared_lambda_consistent = {'true' if declared_ok else 'false'}")
     text = "\n".join(lines) + "\n"
     print(text, end="")
@@ -345,21 +338,22 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True, multi_config=False):
+    def common(p, config_required=True, multi_config=False, solves=False):
         if multi_config:
             p.add_argument("--config", action="append", default=[], help="config file (repeatable)")
         else:
             p.add_argument("--config", required=config_required, help="config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--p-max", dest="p_max", type=float, help="override schedule.p_max")
-        p.add_argument("--nodes", help="override domain.nodes (comma-separated)")
+        if solves:
+            p.add_argument("--p-max", dest="p_max", type=float, help="override schedule.p_max")
+            p.add_argument("--nodes", help="override domain.nodes (comma-separated)")
 
     p_run = sub.add_parser("run", help="solve one configuration and verify it")
-    common(p_run)
+    common(p_run, solves=True)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run several configurations")
-    common(p_sweep, multi_config=True)
+    common(p_sweep, multi_config=True, solves=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="closed-form 1D least-peak-acceleration profile")

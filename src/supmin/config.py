@@ -147,7 +147,7 @@ def parse_config(text):
     if any(m < 5 for m in cfg.nodes):
         errors.append(f"domain.nodes: need at least 5 nodes per axis, got {cfg.nodes}")
     if any(b <= a for a, b in zip(cfg.lo, cfg.hi)):
-        errors.append(f"domain extents empty: lo={cfg.lo} hi={cfg.hi}")
+        errors.append(f"domain.lo, domain.hi: empty extent, lo={cfg.lo} hi={cfg.hi}")
 
     cfg.components = number("field.components", 1, int)
     if cfg.components < 1:
@@ -343,7 +343,10 @@ def boundary_profile(cfg, coords):
         for i in range(cfg.components):
             out[:, i] = cfg.bc_amplitude[i] * np.sin(cfg.bc_frequency[i] * np.pi * x) * lateral
     elif cfg.bc_kind == "file":
-        data = np.loadtxt(cfg.bc_file, ndmin=2)
+        try:
+            data = np.loadtxt(cfg.bc_file, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bc.file: cannot read {cfg.bc_file!r}: {exc}") from exc
         if data.shape != (n_nodes, cfg.components):
             raise ConfigError(
                 f"bc.file: table shape {data.shape} != ({n_nodes}, {cfg.components})"

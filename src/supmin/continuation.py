@@ -23,6 +23,9 @@ problem object it runs supplies the objective, its gradient, the banded
 Newton matrix and the stopping residual.  _StageProblem is a continuation
 stage; _TetheredProblem adds the quadratic tether of penalized_solve.
 
+L_h u is evaluated by the operator (DiscreteOperator.apply_dofs), once per field:
+each Newton loop returns the (L_h u, F) pair of its field for its callers to reuse.
+
 A stage stops by one of two rules.  The stage that ends the run (the last
 scheduled exponent, or the first whose bracket is narrower than
 bracket_stop) is driven until its residual drops below newton_tol or reaches
@@ -39,11 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench/tracer.py:126 patches this name
 
 from .errors import DegenerateEnergy, LineSearchStall, NoConvergence
-from .operators import apply_operator
+from .operators import _csr_matvec, apply_operator
 from .verify import coefficient_of_variation
 
 log = logging.getLogger(__name__)
@@ -185,13 +187,6 @@ class _State:
     grad: np.ndarray
 
 
-def _csr_matvec(mat, x):
-    """mat @ x for a float64 CSR matrix and vector: the kernel `@` runs, without its dispatch."""
-    out = np.zeros(mat.shape[0])
-    _sparsetools.csr_matvec(mat.shape[0], mat.shape[1], mat.indptr, mat.indices, mat.data, x, out)
-    return out
-
-
 class _StageProblem:
     """One fixed-exponent stage: peak-rescaled objective, gradient, Newton band, residual."""
 
@@ -201,21 +196,15 @@ class _StageProblem:
         self.p = float(p)
         self.coords = op.eq_coords()
         self.n_eq = op.n_eq
-        self.n_comp = op.n_components
-        self.clamp_part = op.clamp_matrix @ clamp[op.clamp_idx].ravel()
+        self.clamp_part = op.clamp_part(clamp)
         self.op_scale = op.operator_scale()
         self.zero_floor = _zero_floor(op, supremand, clamp)
         self.scale = None
         self.bracket_stop = bracket_stop   # set on intermediate stages only
 
-    def lu_of(self, x):
-        return (_csr_matvec(self.op.free_matrix, x) + self.clamp_part).reshape(
-            self.n_eq, self.n_comp
-        )
-
     def evaluate(self, x):
         """(L_h u, nodal costs) of the field with interior dofs x."""
-        lu = self.lu_of(x)
+        lu = self.op.apply_dofs(x, self.clamp_part)
         return lu, self.F.eval_field(self.coords, lu)
 
     def objective(self, x, fv):
@@ -317,27 +306,15 @@ class _TetheredProblem(_StageProblem):
         return gnorm / self.g0
 
 
-class _BandedCholesky:
-    """Upper banded Cholesky factor R of H + shift*I; solve applies (R^T R)^-1."""
-
-    def __init__(self, band):
-        self.band = band
-
-    def solve(self, rhs):
-        x, info = dpbtrs(self.band, rhs)
-        if info < 0:
-            raise ValueError(f"dpbtrs: illegal value in argument {-info}")
-        return x
-
-
 def _factor_spd(band):
-    """Banded Cholesky of the (regularized) Hessian; lifts the shift until it factors.
+    """Upper banded Cholesky factor R of the (regularized) Hessian H + shift*I.
 
     band is the LAPACK upper band storage of H, band[bw + i - j, j] = H[i, j],
     best Fortran-ordered (column-major) as hessian_band returns it, since
     dpbtrf would otherwise copy it into that order; its last (diagonal) row
-    is overwritten with the shifted diagonal.  dpbtrf
-    reports a non-positive leading minor as info > 0, which lifts the shift.
+    is overwritten with the shifted diagonal.  dpbtrf reports a non-positive
+    leading minor as info > 0, which lifts the shift until the band factors.
+    R comes back in the same band storage, as _solve_spd reads it.
     """
     if not np.all(np.isfinite(band)):
         raise NoConvergence("Newton system has non-finite entries")
@@ -348,11 +325,19 @@ def _factor_spd(band):
         band[-1] = diag + shift
         factor, info = dpbtrf(band)
         if info == 0:
-            return _BandedCholesky(factor)
+            return factor
         if info < 0:
             raise ValueError(f"dpbtrf: illegal value in argument {-info}")
         shift *= 100.0
     raise NoConvergence("Newton system factorization failed at every regularization level")
+
+
+def _solve_spd(factor, rhs):
+    """(R^T R)^-1 rhs for the band factor R that _factor_spd returns."""
+    x, info = dpbtrs(factor, rhs)
+    if info < 0:
+        raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+    return x
 
 
 def _newton_loop(problem, x, tol, max_newton, best_effort, label):
@@ -375,13 +360,13 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label):
       open: energy accuracy is all a later stage's warm start needs.
 
     Costs at or below the problem's zero_floor count as an exact zero-energy
-    minimum.  Returns (x, iterations, residual, stalled).
+    minimum.  Returns (x, iterations, residual, stalled, lu, fv), lu and fv at x.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lu, fv = problem.evaluate(x)
         peak = float(fv.max())
         if peak <= problem.zero_floor:
-            return x, 0, 0.0, False
+            return x, 0, 0.0, False, lu, fv
         problem.scale = peak
         state = problem.grad_state(x, lu, fv)
         obj = problem.objective(x, fv)
@@ -393,7 +378,7 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label):
         strikes = 0
         for iters in range(1, max_newton + 1):
             if res <= tol:
-                return x, iters - 1, res, False
+                return x, iters - 1, res, False, state.lu, state.fv
             # floating-point floor: residual flat AND objective no longer moving
             flat_res = prev_res is not None and res >= 0.99 * prev_res
             flat_obj = obj_gain <= 1e-14 * max(abs(obj), 1e-300)
@@ -407,8 +392,7 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label):
                 )
             prev_res = res
 
-            factor = _factor_spd(problem.newton_band(state))
-            step = factor.solve(-state.grad)
+            step = _solve_spd(_factor_spd(problem.newton_band(state)), -state.grad)
             if step @ state.grad >= 0.0:
                 step = -step if step @ state.grad > 0.0 else -state.grad
 
@@ -445,7 +429,7 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label):
             # the accepted trial's lu and fv are the state at the new x
             peak_now = float(fv.max())
             if peak_now <= problem.zero_floor:
-                return x, iters, 0.0, False
+                return x, iters, 0.0, False, lu, fv
             rescaled = abs(np.log(peak_now) - np.log(problem.scale)) > 0.2
             if rescaled:
                 problem.scale = peak_now
@@ -456,10 +440,11 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label):
             obj = obj_try
             res = problem.residual(state)
             if t == 1.0 and not rescaled and problem.settled(obj_gain, obj, fv):
-                return x, iters, res, False
+                return x, iters, res, False, lu, fv
 
+        # state is the evaluation of x: a rejected trial's lu and fv are not
         if stalled or best_effort or res <= STALL_ACCEPT:
-            return x, iters, res, stalled or res > tol
+            return x, iters, res, stalled or res > tol, state.lu, state.fv
         raise NoConvergence(
             f"{label}: residual {res:.3e} above {tol:.1e} after {max_newton} iterations"
         )
@@ -487,17 +472,14 @@ def minimize_power_energy(
     """
     clamp = np.asarray(clamp, dtype=np.float64)
     u0 = clamp if warm_start is None else np.asarray(warm_start, dtype=np.float64)
-    u0 = op.with_interior_dofs(clamp, op.interior_dofs(u0))
     problem = _StageProblem(op, supremand, clamp, p, bracket_stop)
-    x, iters, grad_rel, stalled = _newton_loop(
+    x, iters, grad_rel, stalled, lu, fv = _newton_loop(
         problem, op.interior_dofs(u0), tol, max_newton, best_effort, label=f"stage p={p:g}"
     )
-    u = op.with_interior_dofs(clamp, x)
-    lu, fv = _evaluate(op, supremand, u)
     with np.errstate(divide="ignore"):
         energy = _power_mean(fv, p)
-    return StageResult(u=u, energy=energy, iterations=iters, grad_rel=grad_rel,
-                       stalled=stalled, lu=lu, fv=fv)
+    return StageResult(u=op.with_interior_dofs(clamp, x), energy=energy, iterations=iters,
+                       grad_rel=grad_rel, stalled=stalled, lu=lu, fv=fv)
 
 
 def dual_field(op, supremand, u, p, energy):
@@ -543,18 +525,15 @@ class SolveReport:
     fv: np.ndarray = None     # nodal costs F(x, L_h u)
 
     def check_invariants(self, slack=1e-8):
-        """Raise AssertionError when the monotonicity/sandwich structure fails."""
+        """Raise AssertionError, also under python -O, when the monotonicity/sandwich fails."""
         for a, b in zip(self.rows, self.rows[1:]):
-            assert b.energy >= a.energy - slack * max(1.0, a.energy), (
-                f"power means not monotone: {a.energy} -> {b.energy}"
-            )
+            if not b.energy >= a.energy - slack * max(1.0, a.energy):
+                raise AssertionError(f"power means not monotone: {a.energy} -> {b.energy}")
         for row in self.rows:
-            assert row.energy <= self.e_inf + slack * max(1.0, row.energy), (
-                f"estimate {self.e_inf} below stage mean {row.energy}"
-            )
-            assert self.e_inf <= row.peak + slack * max(1.0, row.peak), (
-                f"estimate {self.e_inf} above stage peak {row.peak}"
-            )
+            if not row.energy <= self.e_inf + slack * max(1.0, row.energy):
+                raise AssertionError(f"estimate {self.e_inf} below stage mean {row.energy}")
+            if not self.e_inf <= row.peak + slack * max(1.0, row.peak):
+                raise AssertionError(f"estimate {self.e_inf} above stage peak {row.peak}")
 
 
 def cold_start(op, supremand, clamp):
@@ -562,11 +541,11 @@ def cold_start(op, supremand, clamp):
 
     For quadratic costs this single pass is the exact mean-cost minimizer;
     convexity makes the continuation limit independent of the start either way.
+    Returns the pass's StageResult, with the start field's L_h u and costs.
     """
-    res = minimize_power_energy(
+    return minimize_power_energy(
         op, supremand, clamp, p=1.0, warm_start=clamp, max_newton=1, best_effort=True
     )
-    return res.u
 
 
 def continuation_solve(
@@ -590,9 +569,13 @@ def continuation_solve(
     unique minimizer and is returned (zero-energy branch, bracket (0, peak)).
     """
     sched = _check_schedule(geometric_schedule(p_max) if schedule is None else schedule)
-    u = cold_start(op, supremand, clamp) if initial is None else np.asarray(initial, dtype=np.float64)
+    if initial is None:
+        start = cold_start(op, supremand, clamp)
+        u, lu, fv = start.u, start.lu, start.fv
+    else:
+        u = np.asarray(initial, dtype=np.float64)
+        lu, fv = _evaluate(op, supremand, u)
     floor = _zero_floor(op, supremand, np.asarray(clamp, dtype=np.float64))
-    lu, fv = _evaluate(op, supremand, u)
 
     rows = []
     degenerate = float(np.max(fv)) <= floor

@@ -12,6 +12,10 @@ curvature connecting the prescribed boundary slope to the free region is
 measured there, which is what makes the clamped first-derivative data
 binding for sup-norm energies.  The free unknowns remain the nodes at
 distance >= 2.
+
+L_h u has one evaluation, DiscreteOperator.apply_dofs (free columns times the
+free dofs plus the clamped band's part); apply_operator and the Newton stages
+share it, so a field's L_h u has the same bits whichever of them asks.
 """
 
 import functools
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import DimensionMismatch, LinearSolveFailure, StencilOutOfDomain
 
@@ -29,7 +34,6 @@ class DiscreteOperator:
 
     grid: object
     n_components: int
-    matrix: object            # (n_eq * N, n_nodes * N), acts on full fields
     eq_idx: np.ndarray        # flat node ids of the equation/cost nodes (distance >= 1)
     interior_idx: np.ndarray  # flat node ids of the free unknowns (distance >= 2)
     clamp_idx: np.ndarray     # flat node ids of the clamped band (two layers)
@@ -63,6 +67,15 @@ class DiscreteOperator:
         out[self.interior_idx] = np.asarray(x).reshape(self.n_interior, self.n_components)
         return out
 
+    def clamp_part(self, u):
+        """Contribution of the clamped band of the full field u to L_h u, flat."""
+        return self.clamp_matrix @ np.asarray(u)[self.clamp_idx].ravel()
+
+    def apply_dofs(self, x, clamp_part):
+        """L_h u of the field with free dofs x and clamp contribution clamp_part, (n_eq, N)."""
+        lu = _csr_matvec(self.free_matrix, x) + clamp_part
+        return lu.reshape(self.n_eq, self.n_components)
+
     def square_matrix(self):
         """Rows of the free-column matrix at the interior nodes (the Dirichlet system)."""
         return self.free_matrix[self.square_rows]
@@ -84,6 +97,15 @@ class DiscreteOperator:
     def hessian_pattern(self):
         """Band scatter pattern of L^T D L, built on first use and kept on the operator."""
         return _hessian_pattern(self.free_matrix, self.n_components)
+
+
+def _csr_matvec(mat, x):
+    """mat @ x for a float64 CSR matrix and vector: the kernel `@` runs, without its dispatch."""
+    if x.shape != (mat.shape[1],):  # the kernel reads x without a bounds check
+        raise DimensionMismatch(f"vector has shape {x.shape}, expected ({mat.shape[1]},)")
+    out = np.zeros(mat.shape[0])
+    _sparsetools.csr_matvec(mat.shape[0], mat.shape[1], mat.indptr, mat.indices, mat.data, x, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -227,7 +249,6 @@ def assemble_operator(grid, tensor):
     return DiscreteOperator(
         grid=grid,
         n_components=n_comp,
-        matrix=matrix,
         eq_idx=eq_idx,
         interior_idx=interior_idx,
         clamp_idx=clamp_idx,
@@ -244,7 +265,7 @@ def apply_operator(op, u):
         raise DimensionMismatch(
             f"field has shape {u.shape}, expected {(op.grid.n_nodes, op.n_components)}"
         )
-    return (op.matrix @ u.ravel()).reshape(op.n_eq, op.n_components)
+    return op.apply_dofs(op.interior_dofs(u), op.clamp_part(u))
 
 
 def pcg(matvec, b, rtol=1e-12, atol=0.0, max_iter=None, diag=None):
@@ -309,8 +330,7 @@ def dirichlet_solve(op, rhs, clamp, tol=1e-12, max_iter=None):
     if clamp.shape != (op.grid.n_nodes, op.n_components):
         raise DimensionMismatch(f"clamp field has shape {clamp.shape}")
 
-    clamp_vals = clamp[op.clamp_idx].ravel()
-    b = rhs_int.ravel() - (op.clamp_matrix @ clamp_vals)[op.square_rows]
+    b = rhs_int.ravel() - op.clamp_part(clamp)[op.square_rows]
     u = np.array(clamp, dtype=np.float64, copy=True)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:

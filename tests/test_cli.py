@@ -1,6 +1,8 @@
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -344,6 +346,27 @@ def test_check_tensor_det_coupled(tmp_path, capsys):
     values = dict(line.split(" = ") for line in out.strip().splitlines())
     assert float(values["legendre_min"]) == pytest.approx(-0.5, abs=1e-8)
     assert float(values["legendre_hadamard_min"]) == pytest.approx(1.0, abs=1e-6)
+    assert out == (
+        "symmetry_deviation = 0.00000000000000000e+00\n"
+        "mode = legendre_hadamard\n"
+        "lambda_declared = 1.00000000000000000e+00\n"
+        "legendre_min = -4.99999999999999889e-01\n"
+        "legendre_hadamard_min = 9.99999999999999778e-01\n"
+        "declared_lambda_consistent = true\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--bc", "0,1,0,1", "--nodes", "31"],
+    ["oracle", "--bc", "0,1,0,1", "--p-max", "64"],
+    ["check-tensor", "--config", "any.cfg", "--nodes", "31"],
+    ["check-tensor", "--config", "any.cfg", "--p-max", "64"],
+])
+def test_override_flags_only_for_solving_commands(argv):
+    # oracle and check-tensor read neither the schedule nor the grid
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 ASYMMETRIC_TENSORS = {
@@ -386,12 +409,18 @@ def test_sweep_status_per_failure_kind(tmp_path):
     tiny = write(tmp_path, "tiny.cfg", "domain.dim = 2\ndomain.nodes = 15\n"
                  "bc.kind = sinusoidal\nbc.amplitude = 1e-100\n")
     strict = write(tmp_path, "strict.cfg", SYMMETRIC_CFG + "check.r_harmonic = 1e-30\n")
+    # a boundary file that does not exist fails in the worker, after parsing
+    missing = write(tmp_path, "missing.cfg", "domain.nodes = 31\nbc.kind = file\n"
+                    f"bc.file = {tmp_path / 'no-such-file.dat'}\n")
     assert sweep_statuses(tmp_path, "all", [good, asym, tiny]) == (
         3, ["ok", "config-error", "solver-error"])
     # each failure kind next to a passing config, both solved in workers
-    for bad, code, status in ((asym, 2, "config-error"), (tiny, 3, "solver-error"),
-                              (strict, 4, "verify-failure")):
-        assert sweep_statuses(tmp_path, status, [bad, good]) == (code, [status, "ok"])
+    for bad, code, status, name in ((asym, 2, "config-error", "asym"),
+                                    (missing, 2, "config-error", "missing"),
+                                    (tiny, 3, "solver-error", "tiny"),
+                                    (strict, 4, "verify-failure", "strict")):
+        assert sweep_statuses(tmp_path, name, [bad, good]) == (code, [status, "ok"])
+        assert (tmp_path / name / config_hash(load_config(good)) / "report.txt").exists()
 
 
 def assert_equals_run(sub, cfg, serial):
@@ -492,3 +521,112 @@ def test_boundary_file_nonfinite_is_config_error(tmp_path, capsys, bad):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "bc.file" in err and "row 8" in err
+
+
+@pytest.mark.parametrize("content", [None, "0.0\nnot-a-number\n"], ids=["missing", "non-numeric"])
+def test_unreadable_boundary_file_is_config_error(tmp_path, capsys, content):
+    data_path = tmp_path / "boundary.dat"
+    if content is not None:
+        data_path.write_text(content)
+    text = f"domain.dim = 1\ndomain.nodes = 31\nbc.kind = file\nbc.file = {data_path}\n"
+    cfg = write(tmp_path, "file.cfg", text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bc.file: cannot read")
+    assert not (out / "report.txt").exists()
+
+
+def test_inconsistent_report_is_verification_failure(tmp_path, capsys, monkeypatch):
+    solve = supmin.cli._solve_from_config
+
+    def inflated(cfg):
+        est = solve(cfg)
+        est.report_.e_inf = 100.0 * est.report_.bracket[1]
+        return est
+
+    monkeypatch.setattr(supmin.cli, "_solve_from_config", inflated)
+    cfg = write(tmp_path, "sym.cfg", SYMMETRIC_CFG)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 4
+    assert "verification failure: estimate" in capsys.readouterr().err
+    assert not (out / "report.txt").exists()
+
+
+def test_check_invariants_raises_under_optimize():
+    code = (
+        "from supmin.continuation import SolveReport, StageRow\n"
+        "row = StageRow(p=2.0, energy=5.0, peak=6.0, newton_iters=1, grad_norm=0.0, cv=0.0,"
+        " stalled=False)\n"
+        "report = SolveReport(rows=[row], u=None, f=None, e_inf=100.0, bracket=(5.0, 6.0))\n"
+        "try:\n"
+        "    report.check_invariants()\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(supmin.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout == "estimate 100.0 above stage peak 6.0\n"
+
+
+# config text with one invalid entry, the key its error names, and the message
+CONFIG_ERRORS = [
+    pytest.param("domain.dim 2\n", "domain.dim", "expected 'key = value'", id="no-equals"),
+    pytest.param("domain.dim =\n", "domain.dim", "empty key or value", id="empty-value"),
+    pytest.param("domain.dim = 1\ndomain.dim = 1\n", "domain.dim", "duplicate key",
+                 id="duplicate-key"),
+    pytest.param("domain.dim = 3\n", "domain.dim", "must be 1 or 2", id="dim-3"),
+    pytest.param("domain.lo = 0,0,0\n", "domain.lo", "expected 1 or 1 entries", id="lo-count"),
+    pytest.param("domain.nodes = 4\n", "domain.nodes", "at least 5 nodes", id="nodes-4"),
+    pytest.param("domain.lo = 1\ndomain.hi = 0.5\n", "domain.lo", "empty extent",
+                 id="empty-extent"),
+    pytest.param("field.components = 0\n", "field.components", "must be >= 1", id="components-0"),
+    pytest.param("tensor.kind = diagonal\n", "tensor.kind", "unknown kind", id="tensor-kind"),
+    pytest.param("tensor.kind = constant\ntensor.entries = 1,2\n", "tensor.entries",
+                 "expected 1 numbers", id="entries-count"),
+    pytest.param("domain.dim = 2\nfield.components = 2\ntensor.kind = block_diagonal\n"
+                 "tensor.blocks = 1,0,0,1\n", "tensor.blocks", "expected 2 blocks",
+                 id="blocks-count"),
+    pytest.param("domain.dim = 2\ntensor.kind = block_diagonal\ntensor.blocks = 1,0\n",
+                 "tensor.blocks[0]", "expected 4 numbers", id="block-size"),
+    pytest.param("tensor.kind = det_coupled\n", "tensor.kind",
+                 "requires domain.dim=2 and field.components=2", id="det-coupled-1d"),
+    pytest.param("domain.dim = 2\nsupremand.alpha = affine:1,2\n", "supremand.alpha",
+                 "needs 3 coefficients", id="alpha-affine-count"),
+    pytest.param("supremand.alpha = 0\n", "supremand.alpha", "must be positive", id="alpha-0"),
+    pytest.param("supremand.q = 1\n", "supremand.q", "must exceed 1", id="q-1"),
+    pytest.param("supremand.q = 1.5\n", "supremand.eps", "positive when supremand.q < 2",
+                 id="q-below-2-no-eps"),
+    pytest.param("bc.kind = spline\n", "bc.kind", "unknown kind", id="bc-kind"),
+    pytest.param("field.components = 2\nbc.amplitude = 1,2,3\n", "bc.amplitude",
+                 "expected 1 or 2 entries", id="amplitude-count"),
+    pytest.param("bc.coeffs = 1,2,3\n", "bc.coeffs", "expected 2 coefficients",
+                 id="coeffs-count"),
+    pytest.param("field.components = 2\nbc.frequency = 1,2,3\n", "bc.frequency",
+                 "expected 1 or 2 entries", id="frequency-count"),
+    pytest.param("bc.kind = file\n", "bc.file", "required when bc.kind=file", id="file-missing"),
+    pytest.param("domain.dim = 2\nbc.kind = symmetric_velocity\n", "bc.kind",
+                 "is a 1D profile", id="symmetric-velocity-2d"),
+    pytest.param("schedule.p = 4,2\n", "schedule.p", "strictly increasing", id="schedule-order"),
+    pytest.param("schedule.p_max = 0.5\n", "schedule.p_max", "must be >= 1", id="p-max-half"),
+    pytest.param("tol.newton = 0\n", "tol.newton", "must be positive", id="newton-0"),
+    pytest.param("tol.bracket_stop = -0.1\n", "tol.bracket_stop", "must be positive",
+                 id="bracket-stop-negative"),
+    pytest.param("check.r_system = 0\n", "check.r_system", "must be positive", id="r-system-0"),
+    pytest.param("check.r_harmonic = -1\n", "check.r_harmonic", "must be positive",
+                 id="r-harmonic-negative"),
+    pytest.param("tol.theta = 1\n", "tol.theta", "must lie in (0, 1)", id="theta-1"),
+]
+
+
+@pytest.mark.parametrize("text, key, message", CONFIG_ERRORS)
+def test_invalid_config_names_its_key(tmp_path, capsys, text, key, message):
+    cfg = write(tmp_path, "bad.cfg", text)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid configuration")
+    assert key in err and message in err
+    assert not (out / "report.txt").exists()

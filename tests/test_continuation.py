@@ -31,15 +31,16 @@ from supmin import (
     scaled_energy_gradient,
 )
 from supmin.cli import _solve_from_config
-from supmin.config import boundary_profile, parse_config
+from supmin.config import boundary_profile, build_grid, build_supremand, build_tensor, parse_config
 from supmin.continuation import (
-    _csr_matvec,
     _factor_spd,
     _ratio_power,
+    _solve_spd,
     _StageProblem,
     _zero_floor,
     cold_start,
 )
+from supmin.operators import _csr_matvec
 
 
 def test_geometric_schedule():
@@ -238,8 +239,10 @@ def test_one_operator_evaluation_per_stage(bang_bang_problem, monkeypatch):
     monkeypatch.setattr(supmin.continuation, "minimize_power_energy", recorded_stage)
     rep = continuation_solve(op, F, u0, p_max=4096.0)
     monkeypatch.undo()
-    # one per stage, plus the cold start, its degeneracy test and the verifier
-    assert len(calls) <= len(rep.rows) + 3
+    # the stages and the cold start pass their own evaluations on; only the
+    # verifier evaluates the final field again
+    assert len(calls) == 1
+    np.testing.assert_array_equal(apply_operator(op, rep.u), rep.lu)
     last = rep.rows[-1]
     assert np.array_equal(rep.f, dual_field(op, F, rep.u, last.p, last.energy))
     # fields[0] is the cold start; each stage's energy is its field's power mean
@@ -397,7 +400,7 @@ def test_intermediate_stages_end_at_energy_accuracy(bang_bang_problem):
     schedule = (2.0, 4.0, 8.0, 16.0)
     rep = continuation_solve(op, F, u0, schedule=schedule, verify=False)
     assert [row.p for row in rep.rows] == list(schedule)
-    warm, chain_iters = cold_start(op, F, u0), 0
+    warm, chain_iters = cold_start(op, F, u0).u, 0
     for row in rep.rows:
         ref = minimize_power_energy(op, F, u0, row.p, warm_start=warm, tol=1e-9)
         warm, chain_iters = ref.u, chain_iters + ref.iterations
@@ -467,6 +470,46 @@ def test_csr_matvec_equals_matmul_bitwise(shape, tensor):
         assert np.array_equal(_csr_matvec(mat, x), mat @ x)
 
 
+def _weighted41_problem():
+    cfg = parse_config(SWEEP_CONFIGS["weighted41"])
+    grid = build_grid(cfg)
+    return grid, assemble_operator(grid, build_tensor(cfg)), build_supremand(cfg)
+
+
+def _unit_problem(shape, tensor):
+    grid = Grid(shape)
+    return grid, assemble_operator(grid, tensor), WeightedPowerNorm(tensor.n_components, q=2.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _unit_problem((31,), identity_tensor(1, 1)),
+    lambda: _unit_problem((13, 11), det_coupled_tensor(0.5)),   # 2D, N = 2, with cross terms
+    _weighted41_problem,
+], ids=["1d", "det_coupled_2d", "weighted41"])
+def test_apply_operator_equals_stage_evaluation_bitwise(build):
+    grid, op, F = build()
+    rng = np.random.default_rng(9)
+    clamp = rng.standard_normal((grid.n_nodes, op.n_components))
+    x = rng.standard_normal(op.n_interior * op.n_components)
+    lu, fv = _StageProblem(op, F, clamp, 4.0).evaluate(x)
+    assert np.array_equal(apply_operator(op, op.with_interior_dofs(clamp, x)), lu)
+
+
+def test_stalled_stage_returns_the_evaluation_of_its_field(monkeypatch):
+    # every trial step is rejected, so the stage stalls at its warm start: the
+    # reported L_h u and costs are that field's, not the last rejected trial's
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    warm = minimize_power_energy(op, F, u0, 4.0).u
+    monkeypatch.setattr(supmin.continuation, "ARMIJO_C1", 1e30)
+    monkeypatch.setattr(supmin.continuation, "MAX_BACKTRACKS", 3)
+    res = minimize_power_energy(op, F, u0, 4.0, warm_start=warm, tol=1e-16)
+    assert res.stalled
+    np.testing.assert_array_equal(res.u, warm)
+    np.testing.assert_array_equal(res.lu, apply_operator(op, warm))
+    np.testing.assert_array_equal(res.fv, F.eval_field(op.eq_coords(), res.lu))
+    assert res.energy == power_mean_energy(op, F, warm, 4.0)
+
+
 def _dense_hessian(op, blocks):
     """L^T D L from the dense free-column matrix and a block-diagonal D."""
     mat = op.free_matrix.toarray()
@@ -513,7 +556,7 @@ def test_factor_spd_matches_dense_solve(shape, n_comp):
     shift = 1e-14 * np.max(np.abs(np.diag(dense)))
     rhs = np.random.default_rng(4).standard_normal(dense.shape[0])
     ref = np.linalg.solve(dense + shift * np.eye(dense.shape[0]), rhs)
-    step = _factor_spd(problem.hessian_band(blocks)).solve(rhs)
+    step = _solve_spd(_factor_spd(problem.hessian_band(blocks)), rhs)
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -527,7 +570,7 @@ def test_factor_spd_matches_scipy_banded_cholesky(shape, n_comp):
     shifted[-1] += 1e-14 * np.max(np.abs(band[-1]))
     rhs = np.random.default_rng(8).standard_normal(band.shape[1])
     ref = cho_solve_banded((cholesky_banded(shifted), False), rhs)
-    step = _factor_spd(band).solve(rhs)
+    step = _solve_spd(_factor_spd(band), rhs)
     assert np.array_equal(step, ref)
 
 
@@ -557,7 +600,7 @@ def test_factor_spd_lifts_singular_hessian(factor_attempts):
     rhs = np.random.default_rng(6).standard_normal(dense.shape[0])
     for band, min_attempts in ((psd, 1), (indefinite, 2)):
         factor_attempts.clear()
-        step = _factor_spd(band).solve(rhs)
+        step = _solve_spd(_factor_spd(band), rhs)
         assert np.all(np.isfinite(step))
         assert step @ rhs > 0.0
         assert len(factor_attempts) >= min_attempts
@@ -578,6 +621,12 @@ def test_factor_spd_raises_on_illegal_argument(monkeypatch):
     monkeypatch.setattr(supmin.continuation, "dpbtrf", lambda band: (band, -1))
     with pytest.raises(ValueError, match="argument 1"):
         _factor_spd(np.ones((1, 4)))
+
+
+def test_solve_spd_raises_on_illegal_argument(monkeypatch):
+    monkeypatch.setattr(supmin.continuation, "dpbtrs", lambda factor, rhs: (rhs, -2))
+    with pytest.raises(ValueError, match="dpbtrs: illegal value in argument 2"):
+        _solve_spd(np.ones((1, 4)), np.ones(4))
 
 
 # operator invariants cached on DiscreteOperator at first use

@@ -169,6 +169,9 @@ def test_dimension_mismatch():
     op = assemble_operator(Grid((11,)), identity_tensor(1, 1))
     with pytest.raises(DimensionMismatch):
         apply_operator(op, np.zeros((11, 2)))
+    # the sparse kernel behind apply_dofs reads x unchecked, so its length is checked first
+    with pytest.raises(DimensionMismatch):
+        op.apply_dofs(np.zeros(op.n_interior - 1), 0.0)
     with pytest.raises(DimensionMismatch):
         assemble_operator(Grid((11, 11)), identity_tensor(1, 1))
 

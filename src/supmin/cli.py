@@ -90,7 +90,6 @@ def _solve_from_config(cfg):
         p_max=cfg.p_max,
         newton_tol=cfg.newton_tol,
         bracket_stop=cfg.bracket_stop,
-        theta=cfg.theta,
     )
     return est.fit(lambda coords: boundary_profile(cfg, coords))
 

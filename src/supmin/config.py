@@ -16,19 +16,21 @@ Recognized keys (defaults in parentheses):
     supremand.alpha (1)       constant, or affine:c0,c1[,c2] for c0 + c . x
     supremand.eps (0)         smoothing radius, required positive when q < 2
     bc.kind (affine)          affine | quadratic | symmetric_velocity | sinusoidal | file
-    bc.amplitude (1,...)      per-component amplitudes
-    bc.coeffs (0.1,0.3[,0.2]) affine profile coefficients c0, c1[, c2]
-    bc.frequency (1,2,...)    per-component wave numbers for the sinusoidal profile
+    bc.amplitude (1,...)      per-component amplitudes, every kind but file
+    bc.coeffs (0.1,0.3[,0.3]) affine profile coefficients c0, c1[, c2], kind=affine
+    bc.frequency (1,2,...)    per-component wave numbers, kind=sinusoidal
     bc.file                   whitespace table of nodal values, kind=file
-    schedule.p                explicit comma-separated exponents (overrides p_max)
-    schedule.p_max (4096)     geometric schedule 2, 4, ..., p_max
+    schedule.p                explicit comma-separated exponents
+    schedule.p_max (4096)     geometric schedule 2, 4, ..., p_max; not with schedule.p
     tol.newton (1e-9)         adjoint-residual tolerance of the stage that ends the run
     tol.bracket_stop (0.01)   stop when bracket width < this fraction of its midpoint
-    tol.theta (0.1)           active-set threshold for the verifier
     check.r_system (0.05)     verification bound: r_system <= this * e_inf
     check.r_harmonic (1e-6)   verification bound on the adjoint residual
 
-Every number must be finite; a nan or inf value is a config error.
+A key marked with a kind, or "not with", is read only under that setting;
+elsewhere it would change nothing, so it is a config error naming the key
+and the setting that reads it.  Every number must be finite; a nan or inf
+value is a config error.
 """
 
 import hashlib
@@ -48,6 +50,17 @@ from .tensors import (
 
 _BC_KINDS = ("affine", "quadratic", "symmetric_velocity", "sinusoidal", "file")
 _TENSOR_KINDS = ("identity", "constant", "block_diagonal", "det_coupled")
+# keys read only under one setting, and that setting
+_GATED_KEYS = {
+    "tensor.entries": "with tensor.kind = constant",
+    "tensor.blocks": "with tensor.kind = block_diagonal",
+    "tensor.gamma": "with tensor.kind = det_coupled",
+    "bc.amplitude": "with a bc.kind other than file",
+    "bc.coeffs": "with bc.kind = affine",
+    "bc.frequency": "with bc.kind = sinusoidal",
+    "bc.file": "with bc.kind = file",
+    "schedule.p_max": "without schedule.p",
+}
 
 
 @dataclass
@@ -74,7 +87,6 @@ class RunConfig:
     p_max: float = 4096.0
     newton_tol: float = 1e-9
     bracket_stop: float = 0.01
-    theta: float = 0.1
     r_system_frac: float = 0.05
     r_harmonic_max: float = 1e-6
     items: dict = field(default_factory=dict)  # canonical parsed key/value text
@@ -129,6 +141,13 @@ def parse_config(text):
         if vals:
             errors.append(f"{key}: expected one number, got {raw!r}")
         return default
+
+    def per_component(key, default):
+        """One number per field component under key; a single one is repeated."""
+        vals = _parse_numbers(take(key, default), key, errors)
+        if vals and len(vals) not in (1, cfg.components):
+            errors.append(f"{key}: expected 1 or {cfg.components} entries")
+        return tuple(np.resize(vals or (1.0,), cfg.components))
 
     # domain
     cfg.dim = number("domain.dim", 1, int)
@@ -198,22 +217,20 @@ def parse_config(text):
     cfg.bc_kind = take("bc.kind", "affine")
     if cfg.bc_kind not in _BC_KINDS:
         errors.append(f"bc.kind: unknown kind {cfg.bc_kind!r}, expected one of {_BC_KINDS}")
-    cfg.bc_amplitude = _parse_numbers(take("bc.amplitude", "1"), "bc.amplitude", errors)
-    if cfg.bc_amplitude and len(cfg.bc_amplitude) not in (1, cfg.components):
-        errors.append(f"bc.amplitude: expected 1 or {cfg.components} entries")
-    cfg.bc_amplitude = tuple(np.resize(cfg.bc_amplitude or (1.0,), cfg.components))
-    default_coeffs = ",".join(["0.1"] + ["0.3"] * cfg.dim)
-    cfg.bc_coeffs = _parse_numbers(take("bc.coeffs", default_coeffs), "bc.coeffs", errors)
-    if len(cfg.bc_coeffs) != cfg.dim + 1:
-        errors.append(f"bc.coeffs: expected {cfg.dim + 1} coefficients")
-    default_freq = ",".join(str(k + 1) for k in range(cfg.components))
-    cfg.bc_frequency = _parse_numbers(take("bc.frequency", default_freq), "bc.frequency", errors)
-    if len(cfg.bc_frequency) not in (1, cfg.components):
-        errors.append(f"bc.frequency: expected 1 or {cfg.components} entries")
-    cfg.bc_frequency = tuple(np.resize(cfg.bc_frequency or (1.0,), cfg.components))
-    cfg.bc_file = take("bc.file")
-    if cfg.bc_kind == "file" and not cfg.bc_file:
-        errors.append("bc.file: required when bc.kind=file")
+    if cfg.bc_kind != "file":
+        cfg.bc_amplitude = per_component("bc.amplitude", "1")
+    if cfg.bc_kind == "affine":
+        default_coeffs = ",".join(["0.1"] + ["0.3"] * cfg.dim)
+        cfg.bc_coeffs = _parse_numbers(take("bc.coeffs", default_coeffs), "bc.coeffs", errors)
+        if len(cfg.bc_coeffs) != cfg.dim + 1:
+            errors.append(f"bc.coeffs: expected {cfg.dim + 1} coefficients")
+    if cfg.bc_kind == "sinusoidal":
+        cfg.bc_frequency = per_component("bc.frequency",
+                                         ",".join(str(k + 1) for k in range(cfg.components)))
+    if cfg.bc_kind == "file":
+        cfg.bc_file = take("bc.file")
+        if not cfg.bc_file:
+            errors.append("bc.file: required when bc.kind=file")
     if cfg.bc_kind == "symmetric_velocity" and cfg.dim != 1:
         errors.append("bc.kind=symmetric_velocity is a 1D profile")
 
@@ -224,15 +241,15 @@ def parse_config(text):
         if cfg.schedule and (any(p < 1 for p in cfg.schedule)
                              or any(b <= a for a, b in zip(cfg.schedule, cfg.schedule[1:]))):
             errors.append("schedule.p: must be strictly increasing and >= 1")
-    cfg.p_max = number("schedule.p_max", 4096.0)
-    if cfg.p_max < 1:
-        errors.append(f"schedule.p_max: must be >= 1, got {cfg.p_max}")
+    else:
+        cfg.p_max = number("schedule.p_max", 4096.0)
+        if cfg.p_max < 1:
+            errors.append(f"schedule.p_max: must be >= 1, got {cfg.p_max}")
 
     # tolerances and verification thresholds
     for attr, key in (
         ("newton_tol", "tol.newton"),
         ("bracket_stop", "tol.bracket_stop"),
-        ("theta", "tol.theta"),
         ("r_system_frac", "check.r_system"),
         ("r_harmonic_max", "check.r_harmonic"),
     ):
@@ -240,12 +257,12 @@ def parse_config(text):
         if not val > 0:
             errors.append(f"{key}: must be positive, got {val}")
         setattr(cfg, attr, val)
-    if not 0.0 < cfg.theta < 1.0:
-        errors.append(f"tol.theta: must lie in (0, 1), got {cfg.theta}")
 
-    unknown = sorted(set(items) - known)
-    for key in unknown:
-        errors.append(f"unknown key {key!r}")
+    for key in sorted(set(items) - known):
+        if key in _GATED_KEYS:
+            errors.append(f"{key}: read only {_GATED_KEYS[key]}")
+        else:
+            errors.append(f"unknown key {key!r}")
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
     return cfg
@@ -320,28 +337,19 @@ def build_supremand(cfg):
 
 
 def boundary_profile(cfg, coords):
-    """Sample the named boundary profile at the given coordinates."""
+    """Sample the named boundary profile at the given coordinates, shape (n_nodes, N)."""
     x = coords[:, 0]
     n_nodes = coords.shape[0]
-    out = np.zeros((n_nodes, cfg.components))
+    if cfg.bc_kind == "sinusoidal":
+        lateral = np.sin(np.pi * coords[:, 1:]) if coords.shape[1] == 2 else 1.0
+        waves = np.sin(np.outer(x, np.multiply(cfg.bc_frequency, np.pi)))
+        return np.multiply(cfg.bc_amplitude, waves) * lateral
     if cfg.bc_kind == "affine":
         base = cfg.bc_coeffs[0] + coords @ np.array(cfg.bc_coeffs[1:])
-        for i in range(cfg.components):
-            out[:, i] = cfg.bc_amplitude[i] * base
     elif cfg.bc_kind == "quadratic":
         base = np.sum(coords**2, axis=1)
-        for i in range(cfg.components):
-            out[:, i] = cfg.bc_amplitude[i] * base
     elif cfg.bc_kind == "symmetric_velocity":
         base = 2.0 * x**3 - 3.0 * x**2 + x
-        for i in range(cfg.components):
-            out[:, i] = cfg.bc_amplitude[i] * base
-    elif cfg.bc_kind == "sinusoidal":
-        lateral = 1.0
-        if coords.shape[1] == 2:
-            lateral = np.sin(np.pi * coords[:, 1])
-        for i in range(cfg.components):
-            out[:, i] = cfg.bc_amplitude[i] * np.sin(cfg.bc_frequency[i] * np.pi * x) * lateral
     elif cfg.bc_kind == "file":
         try:
             data = np.loadtxt(cfg.bc_file, ndmin=2)
@@ -354,10 +362,10 @@ def boundary_profile(cfg, coords):
         bad = np.argwhere(~np.isfinite(data))
         if bad.size:
             raise ConfigError(f"bc.file: non-finite value in row {bad[0, 0] + 1}")
-        out = data
+        return data
     else:
         raise ConfigError(f"bc.kind: unknown kind {cfg.bc_kind!r}")
-    return out
+    return np.outer(base, cfg.bc_amplitude)
 
 
 def oracle_endpoint_data(cfg):
@@ -372,7 +380,7 @@ def oracle_endpoint_data(cfg):
         and cfg.tensor_kind == "identity"
         and cfg.q == 2.0
         and not cfg.alpha.startswith("affine:")
-        and cfg.bc_kind in ("affine", "quadratic", "symmetric_velocity", "sinusoidal")
+        and cfg.bc_kind != "file"
         and cfg.lo == (0.0,)
         and cfg.hi == (1.0,)
     )

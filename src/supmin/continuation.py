@@ -44,9 +44,9 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench/tracer.py:126 patches this name
 
-from .errors import DegenerateEnergy, LineSearchStall, NoConvergence
+from .errors import DegenerateEnergy, DimensionMismatch, LineSearchStall, NoConvergence
 from .operators import _csr_matvec, apply_operator
-from .verify import coefficient_of_variation
+from .verify import THETA, coefficient_of_variation, verify_system
 
 log = logging.getLogger(__name__)
 
@@ -556,7 +556,6 @@ def continuation_solve(
     p_max=4096.0,
     newton_tol=1e-9,
     bracket_stop=0.01,
-    theta=0.1,
     initial=None,
     verify=True,
 ):
@@ -567,7 +566,15 @@ def continuation_solve(
     the residual report of the limiting optimality system.  A start or stage
     field with peak cost at or below _zero_floor solves L_h u = 0, so it is the
     unique minimizer and is returned (zero-energy branch, bracket (0, peak)).
+    The cost, the operator and the clamp must agree on the number of
+    components N (DimensionMismatch otherwise).
     """
+    clamp = np.asarray(clamp, dtype=np.float64)
+    n_comp = op.n_components
+    if supremand.n_components != n_comp:
+        raise DimensionMismatch(f"cost has {supremand.n_components} components, operator {n_comp}")
+    if clamp.shape != (op.grid.n_nodes, n_comp):
+        raise DimensionMismatch(f"clamp has shape {clamp.shape}, expected {(op.grid.n_nodes, n_comp)}")
     sched = _check_schedule(geometric_schedule(p_max) if schedule is None else schedule)
     if initial is None:
         start = cold_start(op, supremand, clamp)
@@ -575,7 +582,7 @@ def continuation_solve(
     else:
         u = np.asarray(initial, dtype=np.float64)
         lu, fv = _evaluate(op, supremand, u)
-    floor = _zero_floor(op, supremand, np.asarray(clamp, dtype=np.float64))
+    floor = _zero_floor(op, supremand, clamp)
 
     rows = []
     degenerate = float(np.max(fv)) <= floor
@@ -587,13 +594,13 @@ def continuation_solve(
         peak = float(np.max(fv))
         degenerate = peak <= floor
         if degenerate:
-            cv_row = coefficient_of_variation(fv)
+            cv_row = 0.0  # the costs are roundoff: no level to be constant at
         else:
             # cost constancy measured on the nodes carrying the dual field,
             # matching the verifier's active-set convention
             f = _dual(op, supremand, lu, fv, p, res.energy)
             mag = np.linalg.norm(f, axis=1)
-            active = mag > theta * mag.max() if mag.max() > 0 else slice(None)
+            active = mag > THETA * mag.max() if mag.max() > 0 else slice(None)
             cv_row = coefficient_of_variation(fv[active])
         row = StageRow(
             p=p,
@@ -626,9 +633,7 @@ def continuation_solve(
         rows=rows, u=u, f=f, e_inf=e_inf, bracket=bracket, degenerate=degenerate, lu=lu, fv=fv
     )
     if verify:
-        from .verify import verify_system
-
-        report.verify = verify_system(op, supremand, u, f, e_inf, theta=theta)
+        report.verify = verify_system(op, supremand, u, f, e_inf)
     return report
 
 

@@ -45,23 +45,21 @@ class SupremalMinimizer:
         Box extents per axis.
     components : int
         Number of field components N.
-    tensor : "identity", EllipticTensor, or (n, n, N, N) array
-        Coefficient field of the divergence-form operator.
-    q : float
-        Exponent of the power-norm cost, q > 1.
-    alpha : float
-        Constant positive weight of the cost.
-    smoothing : float
-        Smoothing radius for q < 2 (must be positive there).
+    tensor : EllipticTensor, optional
+        Coefficient field of the divergence-form operator; default
+        identity_tensor(dim, components).  Build others with the tensor
+        constructors (constant_tensor, block_diagonal_tensor, ...).
     supremand : Supremand, optional
-        Full custom cost; overrides q / alpha / smoothing.
+        The cost F(x, xi); default WeightedPowerNorm(components), the
+        squared Euclidean norm.  Build others with WeightedPowerNorm(...)
+        or CustomSupremand.
     p_schedule : sequence of float, optional
         Explicit exponent schedule; default geometric up to p_max.
     p_max : float
         Cap of the geometric schedule.
-    newton_tol, bracket_stop, theta : float
-        Stage tolerance, bracket stopping fraction, and verifier active-set
-        threshold.  Zero energy needs no level: it is the data's roundoff floor.
+    newton_tol, bracket_stop : float
+        Stage tolerance and bracket stopping fraction.  Zero energy needs no
+        level: it is the data's roundoff floor.
 
     Attributes (after fit)
     ----------------------
@@ -78,31 +76,23 @@ class SupremalMinimizer:
         lo=0.0,
         hi=1.0,
         components=1,
-        tensor="identity",
-        q=2.0,
-        alpha=1.0,
-        smoothing=0.0,
+        tensor=None,
         supremand=None,
         p_schedule=None,
         p_max=4096.0,
         newton_tol=1e-9,
         bracket_stop=0.01,
-        theta=0.1,
     ):
         self.nodes = nodes
         self.lo = lo
         self.hi = hi
         self.components = components
         self.tensor = tensor
-        self.q = q
-        self.alpha = alpha
-        self.smoothing = smoothing
         self.supremand = supremand
         self.p_schedule = p_schedule
         self.p_max = p_max
         self.newton_tol = newton_tol
         self.bracket_stop = bracket_stop
-        self.theta = theta
 
     @classmethod
     def _param_names(cls):
@@ -131,24 +121,18 @@ class SupremalMinimizer:
         return Grid(shape=nodes, lo=lo, hi=hi)
 
     def _build_tensor(self, dim):
-        if isinstance(self.tensor, EllipticTensor):
-            return self.tensor
-        if isinstance(self.tensor, str):
-            if self.tensor != "identity":
-                raise ValueError(f"unknown tensor spec {self.tensor!r}")
+        if self.tensor is None:
             return identity_tensor(dim, int(self.components))
-        entries = np.asarray(self.tensor, dtype=np.float64)
-        return EllipticTensor(entries)
+        if not isinstance(self.tensor, EllipticTensor):
+            raise ValueError(f"tensor must be an EllipticTensor, got {type(self.tensor).__name__}")
+        return self.tensor
 
     def _build_supremand(self):
-        if self.supremand is not None:
-            if not isinstance(self.supremand, Supremand):
-                raise ValueError("supremand must be a Supremand instance")
-            return self.supremand
-        return WeightedPowerNorm(
-            int(self.components), q=float(self.q), alpha=float(self.alpha),
-            eps=float(self.smoothing),
-        )
+        if self.supremand is None:
+            return WeightedPowerNorm(int(self.components))
+        if not isinstance(self.supremand, Supremand):
+            raise ValueError(f"supremand must be a Supremand, got {type(self.supremand).__name__}")
+        return self.supremand
 
     def fit(self, X, y=None):
         """Solve the clamped sup-minimization with X as the boundary field.
@@ -166,15 +150,8 @@ class SupremalMinimizer:
         clamp = check_field(X, grid.n_nodes, int(self.components), name="boundary field")
         op = assemble_operator(grid, tensor)
         report = continuation_solve(
-            op,
-            supremand,
-            clamp,
-            schedule=self.p_schedule,
-            p_max=float(self.p_max),
-            newton_tol=float(self.newton_tol),
-            bracket_stop=float(self.bracket_stop),
-            theta=float(self.theta),
-        )
+            op, supremand, clamp, schedule=self.p_schedule, p_max=float(self.p_max),
+            newton_tol=float(self.newton_tol), bracket_stop=float(self.bracket_stop))
         self.grid_ = grid
         self.operator_ = op
         self.report_ = report

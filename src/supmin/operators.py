@@ -164,7 +164,11 @@ def _hessian_pattern(free_matrix, n_comp):
 
 
 def assemble_operator(grid, tensor):
-    """Assemble the flux-form stencil matrix of div(A Du)."""
+    """Assemble the flux-form stencil matrix of div(A Du).
+
+    A tensor that is not symmetric (A[a,b,i,j] != A[b,a,j,i]) raises
+    AsymmetricTensor; a variable one is checked at the equation nodes.
+    """
     if any(m < 5 for m in grid.shape):
         raise StencilOutOfDomain(
             f"need at least 5 nodes per axis for the clamped stencil, got {grid.shape}"
@@ -173,18 +177,17 @@ def assemble_operator(grid, tensor):
         raise DimensionMismatch(
             f"tensor has {tensor.n} axes but grid has dimension {grid.dim}"
         )
+    eq_idx = np.flatnonzero(grid.stencil_mask())
+    x_eq = grid.coords()[eq_idx]
+    tensor.check_symmetry(None if tensor.is_constant else x_eq)
     n = grid.dim
     n_comp = tensor.n_components
     h = np.array(grid.spacing)
-    coords = grid.coords()
-    eq_mask = grid.stencil_mask()
     interior = grid.interior_mask()
-    eq_idx = np.flatnonzero(eq_mask)
     interior_idx = np.flatnonzero(interior)
     clamp_idx = np.flatnonzero(~interior)
     n_eq = eq_idx.size
     idx_eq = grid.multi_indices()[eq_idx]
-    x_eq = coords[eq_idx]
 
     def flat_shifted(offsets):
         return grid.ravel_index(idx_eq + np.asarray(offsets, dtype=int))

@@ -16,6 +16,10 @@ from .errors import DegenerateField
 from .operators import apply_operator
 from .supremand import duality_map_field
 
+# active-set threshold: the direction system and the cost constancy are read
+# where |f| exceeds THETA times its peak
+THETA = 0.1
+
 
 def coefficient_of_variation(values):
     """std / mean of a nonnegative sample; zero for an (effectively) zero mean."""
@@ -43,25 +47,20 @@ class VerifyReport:
         }
 
 
-def verify_system(op, supremand, u, f, e_hat, theta=0.1):
+def verify_system(op, supremand, u, f, e_hat):
     """Evaluate the optimality-system residuals for the pair (u, f) at level e_hat.
 
     The direction equation and the cost-constancy statistic are evaluated
-    only where |f| exceeds theta times its peak: the dual field legitimately
+    only where |f| exceeds THETA times its peak: the dual field legitimately
     passes through zero on a thin set (the discrete trace of a null set), and
     neither its direction nor the limiting cost level is meaningful there.
     The adjoint residual is the norm of the transposed operator applied to f,
-    relative to the operator scale and the size of f.
+    relative to the operator scale and the size of f.  An identically zero f
+    (the zero-energy branch) has no active set, so every statistic is 0.
     """
     if e_hat < 0:
         raise ValueError("e_hat must be nonnegative")
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
     f = np.asarray(f, dtype=np.float64)
-    lu = apply_operator(op, u)
-    coords = op.eq_coords()
-    fv = supremand.eval_field(coords, lu)
-
     mag = np.linalg.norm(f, axis=1)
     peak = float(mag.max()) if mag.size else 0.0
     if peak == 0.0:
@@ -72,13 +71,15 @@ def verify_system(op, supremand, u, f, e_hat, theta=0.1):
         return VerifyReport(
             r_system=0.0,
             r_harmonic=0.0,
-            cv_F=coefficient_of_variation(fv),
+            cv_F=0.0,
             active_fraction=0.0,
             zero_set_fraction=1.0,
         )
 
-    active = mag > theta * peak
-    cv = coefficient_of_variation(fv[active])
+    lu = apply_operator(op, u)
+    coords = op.eq_coords()
+    active = mag > THETA * peak
+    cv = coefficient_of_variation(supremand.eval_field(coords, lu)[active])
     phi = duality_map_field(supremand, coords, lu)
     directions = f[active] / mag[active, None]
     residual = phi[active] - e_hat * directions

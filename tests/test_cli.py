@@ -198,7 +198,7 @@ def test_override_flags_hash_like_edited_config(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    for key in ("not.a.key", "tol.linear", "tol.degenerate", "seed"):
+    for key in ("not.a.key", "tol.linear", "tol.degenerate", "seed", "tol.theta"):
         cfg = write(tmp_path, "bad.cfg", f"domain.dim = 1\n{key} = 3\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     cfg = write(tmp_path, "ok.cfg", AFFINE_CFG)
@@ -217,12 +217,15 @@ DOC_KEY_VALUES = {
     "bc.kind": "quadratic", "bc.amplitude": "2", "bc.coeffs": "0.1,0.2",
     "bc.frequency": "3", "bc.file": "values.txt", "schedule.p": "2,8",
     "schedule.p_max": "64", "tol.newton": "1e-8", "tol.bracket_stop": "0.02",
-    "tol.theta": "0.2", "check.r_system": "0.1", "check.r_harmonic": "1e-5",
+    "check.r_system": "0.1", "check.r_harmonic": "1e-5",
 }
 DOC_KEY_PREREQS = {
     "tensor.entries": "tensor.kind = constant\n",
     "tensor.blocks": "tensor.kind = block_diagonal\n",
     "tensor.gamma": "domain.dim = 2\nfield.components = 2\ntensor.kind = det_coupled\n",
+    "bc.amplitude": "bc.kind = quadratic\n",
+    "bc.coeffs": "bc.kind = affine\n",
+    "bc.frequency": "bc.kind = sinusoidal\n",
     "bc.file": "bc.kind = file\n",
 }
 
@@ -244,6 +247,26 @@ def test_documented_config_keys_are_accepted():
     for key in keys:
         cfg = parse_config(DOC_KEY_PREREQS.get(key, "") + f"{key} = {DOC_KEY_VALUES[key]}\n")
         assert key in cfg.items
+
+
+def test_readme_example_config_parses():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("```ini\n")[1].split("```")[0]
+    cfg = parse_config(block)
+    assert cfg.nodes == (201,) and cfg.bc_kind == "symmetric_velocity"
+
+
+def test_sweep_with_an_ignored_key_solves_nothing(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a sweep with an invalid config must not solve")
+
+    monkeypatch.setattr(supmin.cli, "_sweep_pool", no_solve)
+    good = write(tmp_path, "good.cfg", AFFINE_CFG)
+    bad = write(tmp_path, "bad.cfg", "bc.kind = sinusoidal\nbc.coeffs = 5,7\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", good, "--config", bad, "--out", str(out)]) == 2
+    assert not (out / "sweep.txt").exists()
 
 
 def test_verification_threshold_failure(tmp_path):
@@ -604,7 +627,8 @@ CONFIG_ERRORS = [
                  "expected 1 or 2 entries", id="amplitude-count"),
     pytest.param("bc.coeffs = 1,2,3\n", "bc.coeffs", "expected 2 coefficients",
                  id="coeffs-count"),
-    pytest.param("field.components = 2\nbc.frequency = 1,2,3\n", "bc.frequency",
+    pytest.param("field.components = 2\nbc.kind = sinusoidal\nbc.frequency = 1,2,3\n",
+                 "bc.frequency",
                  "expected 1 or 2 entries", id="frequency-count"),
     pytest.param("bc.kind = file\n", "bc.file", "required when bc.kind=file", id="file-missing"),
     pytest.param("domain.dim = 2\nbc.kind = symmetric_velocity\n", "bc.kind",
@@ -617,7 +641,23 @@ CONFIG_ERRORS = [
     pytest.param("check.r_system = 0\n", "check.r_system", "must be positive", id="r-system-0"),
     pytest.param("check.r_harmonic = -1\n", "check.r_harmonic", "must be positive",
                  id="r-harmonic-negative"),
-    pytest.param("tol.theta = 1\n", "tol.theta", "must lie in (0, 1)", id="theta-1"),
+    # a key where nothing reads it would change nothing: the error names the reader
+    pytest.param("bc.kind = sinusoidal\nbc.coeffs = 5,7\n", "bc.coeffs",
+                 "read only with bc.kind = affine", id="coeffs-sinusoidal"),
+    pytest.param("bc.kind = quadratic\nbc.frequency = 3\n", "bc.frequency",
+                 "read only with bc.kind = sinusoidal", id="frequency-quadratic"),
+    pytest.param("bc.kind = sinusoidal\nbc.file = /nonexistent\n", "bc.file",
+                 "read only with bc.kind = file", id="file-sinusoidal"),
+    pytest.param("bc.kind = file\nbc.file = values.txt\nbc.amplitude = 2\n", "bc.amplitude",
+                 "read only with a bc.kind other than file", id="amplitude-file"),
+    pytest.param("schedule.p = 2,4\nschedule.p_max = 2\n", "schedule.p_max",
+                 "read only without schedule.p", id="p-max-with-p"),
+    pytest.param("tensor.entries = 1\n", "tensor.entries", "read only with tensor.kind = constant",
+                 id="entries-identity"),
+    pytest.param("tensor.blocks = 1\n", "tensor.blocks",
+                 "read only with tensor.kind = block_diagonal", id="blocks-identity"),
+    pytest.param("tensor.gamma = 1\n", "tensor.gamma", "read only with tensor.kind = det_coupled",
+                 id="gamma-identity"),
 ]
 
 

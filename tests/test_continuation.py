@@ -1,4 +1,5 @@
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ import supmin.operators
 import supmin.verify
 from supmin import (
     DegenerateEnergy,
+    DimensionMismatch,
     Grid,
     LineSearchStall,
     NoConvergence,
@@ -723,3 +725,31 @@ def test_zero_branch_returns_the_solved_field(solve, monkeypatch):
     # the floor reads the clamped band only, so the solved field gives the same one
     assert rep.bracket[1] <= _zero_floor(op, F, clamp) == _zero_floor(op, F, rep.u)
     np.testing.assert_array_equal(rep.u[op.clamp_idx], clamp[op.clamp_idx])
+
+
+def test_degenerate_stage_row_reports_zero_cv():
+    # a random start is not degenerate; its first stage reaches L_h u = 0, whose
+    # costs are roundoff, so the row and the verifier report no spread
+    grid, op, F, u0 = make_1d_problem(nodes=101, profile="affine")
+    start = u0.copy()
+    start[op.interior_idx] = np.random.default_rng(5).standard_normal((op.n_interior, 1))
+    rep = continuation_solve(op, F, u0, initial=start)
+    assert rep.degenerate and len(rep.rows) == 1
+    assert rep.rows[0].cv == 0.0
+    assert rep.verify.cv_F == 0.0
+
+
+def test_component_mismatch_is_a_dimension_mismatch():
+    grid = Grid((15, 15))
+    op2 = assemble_operator(grid, identity_tensor(2, 2))
+    clamp2 = np.ones((grid.n_nodes, 2))
+    with pytest.raises(DimensionMismatch, match="cost has 1 components"):
+        continuation_solve(op2, WeightedPowerNorm(1), clamp2)
+    with pytest.raises(DimensionMismatch, match="clamp has shape"):
+        continuation_solve(op2, WeightedPowerNorm(2), clamp2[:, :1])
+
+
+def test_theta_is_a_constant():
+    for fn in (continuation_solve, supmin.verify.verify_system):
+        assert "theta" not in inspect.signature(fn).parameters
+    assert supmin.verify.THETA == 0.1

@@ -35,7 +35,7 @@ def test_system_residuals_on_analytic_fields(bang_bang_problem):
     grid, op, F, _ = bang_bang_problem
     u, f, bb = sampled_bang_bang_pair(op)
     e_hat = bb.a**2
-    report = verify_system(op, F, u, f, e_hat, theta=0.1)
+    report = verify_system(op, F, u, f, e_hat)
     assert report.r_system <= 0.05 * e_hat
     assert report.cv_F <= 0.05
     assert 0.0 < report.active_fraction <= 1.0
@@ -50,9 +50,9 @@ def test_perturbation_raises_residuals(bang_bang_problem):
     grid, op, F, _ = bang_bang_problem
     u, f, bb = sampled_bang_bang_pair(op)
     e_hat = bb.a**2
-    clean = verify_system(op, F, u, f, e_hat, theta=0.1)
+    clean = verify_system(op, F, u, f, e_hat)
     bumped = u + 0.1 * np.sin(np.pi * grid.coords()[:, 0]).reshape(-1, 1) ** 2
-    dirty = verify_system(op, F, bumped, f, e_hat, theta=0.1)
+    dirty = verify_system(op, F, bumped, f, e_hat)
     assert dirty.r_system >= 10.0 * clean.r_system
     assert dirty.cv_F >= 10.0 * clean.cv_F
 
@@ -62,7 +62,8 @@ def test_zero_energy_branch_is_vacuous():
     rep = continuation_solve(op, F, u0)
     assert rep.verify.r_system == 0.0
     assert rep.verify.zero_set_fraction == 1.0
-    assert rep.verify.cv_F >= 0.0
+    # the costs are roundoff around zero: no spread is reported
+    assert rep.verify.cv_F == 0.0
 
 
 def test_degenerate_field_error():
@@ -77,8 +78,6 @@ def test_verify_parameter_validation(bang_bang_problem):
     f = np.ones((op.n_eq, 1))
     with pytest.raises(ValueError):
         verify_system(op, F, u0, f, e_hat=-1.0)
-    with pytest.raises(ValueError):
-        verify_system(op, F, u0, f, e_hat=1.0, theta=1.5)
 
 
 def test_solver_output_satisfies_discrete_stationarity(bang_bang_problem):

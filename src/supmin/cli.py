@@ -67,7 +67,6 @@ def _apply_overrides(cfg, args):
     items = dict(cfg.items)
     if args.p_max is not None:
         items["schedule.p_max"] = repr(float(args.p_max))
-        items.pop("schedule.p", None)
     if args.nodes is not None:
         items["domain.nodes"] = args.nodes
     cfg = parse_config("\n".join(f"{k} = {v}" for k, v in items.items()))
@@ -86,7 +85,6 @@ def _solve_from_config(cfg):
         components=cfg.components,
         tensor=build_tensor(cfg),
         supremand=build_supremand(cfg),
-        p_schedule=cfg.schedule,
         p_max=cfg.p_max,
         newton_tol=cfg.newton_tol,
         bracket_stop=cfg.bracket_stop,

@@ -20,14 +20,13 @@ Recognized keys (defaults in parentheses):
     bc.coeffs (0.1,0.3[,0.3]) affine profile coefficients c0, c1[, c2], kind=affine
     bc.frequency (1,2,...)    per-component wave numbers, kind=sinusoidal
     bc.file                   whitespace table of nodal values, kind=file
-    schedule.p                explicit comma-separated exponents
-    schedule.p_max (4096)     geometric schedule 2, 4, ..., p_max; not with schedule.p
+    schedule.p_max (4096)     doubling exponent schedule 2, 4, ..., p_max
     tol.newton (1e-9)         adjoint-residual tolerance of the stage that ends the run
     tol.bracket_stop (0.01)   stop when bracket width < this fraction of its midpoint
     check.r_system (0.05)     verification bound: r_system <= this * e_inf
     check.r_harmonic (1e-6)   verification bound on the adjoint residual
 
-A key marked with a kind, or "not with", is read only under that setting;
+A key marked with a kind is read only under that setting;
 elsewhere it would change nothing, so it is a config error naming the key
 and the setting that reads it.  Every number must be finite; a nan or inf
 value is a config error.
@@ -38,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .continuation import BRACKET_STOP, NEWTON_TOL, P_MAX
 from .errors import AsymmetricTensor, ConfigError
 from .grid import Grid
 from .supremand import WeightedPowerNorm
@@ -59,7 +59,6 @@ _GATED_KEYS = {
     "bc.coeffs": "with bc.kind = affine",
     "bc.frequency": "with bc.kind = sinusoidal",
     "bc.file": "with bc.kind = file",
-    "schedule.p_max": "without schedule.p",
 }
 
 
@@ -83,10 +82,9 @@ class RunConfig:
     bc_coeffs: tuple = None
     bc_frequency: tuple = None
     bc_file: str = None
-    schedule: tuple = None
-    p_max: float = 4096.0
-    newton_tol: float = 1e-9
-    bracket_stop: float = 0.01
+    p_max: float = P_MAX
+    newton_tol: float = NEWTON_TOL
+    bracket_stop: float = BRACKET_STOP
     r_system_frac: float = 0.05
     r_harmonic_max: float = 1e-6
     items: dict = field(default_factory=dict)  # canonical parsed key/value text
@@ -234,17 +232,9 @@ def parse_config(text):
     if cfg.bc_kind == "symmetric_velocity" and cfg.dim != 1:
         errors.append("bc.kind=symmetric_velocity is a 1D profile")
 
-    # schedule
-    sched_raw = take("schedule.p")
-    if sched_raw is not None:
-        cfg.schedule = _parse_numbers(sched_raw, "schedule.p", errors)
-        if cfg.schedule and (any(p < 1 for p in cfg.schedule)
-                             or any(b <= a for a, b in zip(cfg.schedule, cfg.schedule[1:]))):
-            errors.append("schedule.p: must be strictly increasing and >= 1")
-    else:
-        cfg.p_max = number("schedule.p_max", 4096.0)
-        if cfg.p_max < 1:
-            errors.append(f"schedule.p_max: must be >= 1, got {cfg.p_max}")
+    cfg.p_max = number("schedule.p_max", cfg.p_max)
+    if cfg.p_max < 1:
+        errors.append(f"schedule.p_max: must be >= 1, got {cfg.p_max}")
 
     # tolerances and verification thresholds
     for attr, key in (

@@ -1,7 +1,7 @@
 """Exponent continuation for sup-norm minimization of F(x, div(A Du)).
 
-The sup energy is approached through power means with exponent p marching up
-a schedule; each stage is a smooth convex minimization solved by damped
+The sup energy is approached through power means with exponent p doubling
+from 2 up to p_max; each stage is a smooth convex minimization solved by damped
 Newton, warm-started from the previous stage.  The stage Hessians L^T D L are
 symmetric positive definite and banded in the natural (C-order) dof order, so
 each Newton system is factored by banded Cholesky at cost O(n * bw^2).  Each
@@ -45,7 +45,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench/tracer.py:126 patches this name
 
 from .errors import DegenerateEnergy, DimensionMismatch, LineSearchStall, NoConvergence
-from .operators import _csr_matvec, apply_operator
+from .operators import _csr_matvec, apply_operator, check_field
 from .verify import THETA, coefficient_of_variation, verify_system
 
 log = logging.getLogger(__name__)
@@ -60,31 +60,24 @@ OBJ_ROUNDOFF = 64.0 * np.finfo(np.float64).eps
 # relative move of the power mean below which a full Newton step ends an
 # intermediate stage (one whose bracket still calls for the next exponent)
 ENERGY_RTOL = 1e-8
+# defaults of the run's settings, which continuation_solve checks
+P_MAX = 4096.0
+NEWTON_TOL = 1e-9
+BRACKET_STOP = 0.01
 
 
-def geometric_schedule(p_max, start=2.0):
-    """Doubling exponents start, 2*start, ... capped and terminated at p_max."""
+def geometric_schedule(p_max):
+    """Doubling exponents 2, 4, ... capped and terminated at p_max, 1 <= p_max < inf."""
     p_max = float(p_max)
-    if p_max < start:
-        return (p_max,)
+    if not 1.0 <= p_max < math.inf:
+        raise ValueError(f"p_max must be finite and >= 1, got {p_max}")
     out = []
-    p = float(start)
+    p = 2.0
     while p < p_max:
         out.append(p)
         p *= 2.0
     out.append(p_max)
     return tuple(out)
-
-
-def _check_schedule(schedule):
-    sched = tuple(float(p) for p in schedule)
-    if len(sched) == 0:
-        raise ValueError("schedule must be nonempty")
-    if any(p < 1.0 for p in sched):
-        raise ValueError("schedule exponents must be >= 1")
-    if any(b <= a for a, b in zip(sched, sched[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    return sched
 
 
 def power_mean_energy(op, supremand, u, p):
@@ -456,7 +449,7 @@ def minimize_power_energy(
     clamp,
     p,
     warm_start=None,
-    tol=1e-9,
+    tol=NEWTON_TOL,
     max_newton=400,
     best_effort=False,
     bracket_stop=None,
@@ -552,35 +545,40 @@ def continuation_solve(
     op,
     supremand,
     clamp,
-    schedule=None,
-    p_max=4096.0,
-    newton_tol=1e-9,
-    bracket_stop=0.01,
+    p_max=P_MAX,
+    newton_tol=NEWTON_TOL,
+    bracket_stop=BRACKET_STOP,
     initial=None,
     verify=True,
 ):
-    """March the exponent schedule with warm starts and bracket the limit value.
+    """March geometric_schedule(p_max) with warm starts and bracket the limit value.
+
+    The first stage starts from cold_start, or from initial's interior values
+    with the clamp's band.  A p_max outside [1, inf), or a newton_tol or
+    bracket_stop that is not positive and finite, is a ValueError.
 
     Returns a SolveReport with the per-stage trace, the final field with its
     L_h u, costs and dual field, the bracket midpoint estimate, and (optionally)
     the residual report of the limiting optimality system.  A start or stage
     field with peak cost at or below _zero_floor solves L_h u = 0, so it is the
     unique minimizer and is returned (zero-energy branch, bracket (0, peak)).
-    The cost, the operator and the clamp must agree on the number of
-    components N (DimensionMismatch otherwise).
+    The cost, the operator, the clamp and initial must agree on the number of
+    components N (DimensionMismatch otherwise), and the fields must be finite.
     """
-    clamp = np.asarray(clamp, dtype=np.float64)
     n_comp = op.n_components
     if supremand.n_components != n_comp:
         raise DimensionMismatch(f"cost has {supremand.n_components} components, operator {n_comp}")
-    if clamp.shape != (op.grid.n_nodes, n_comp):
-        raise DimensionMismatch(f"clamp has shape {clamp.shape}, expected {(op.grid.n_nodes, n_comp)}")
-    sched = _check_schedule(geometric_schedule(p_max) if schedule is None else schedule)
+    clamp = check_field(clamp, op.grid.n_nodes, n_comp, name="clamp")
+    sched = geometric_schedule(p_max)
+    for name, value in (("newton_tol", newton_tol), ("bracket_stop", bracket_stop)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if initial is None:
         start = cold_start(op, supremand, clamp)
         u, lu, fv = start.u, start.lu, start.fv
     else:
-        u = np.asarray(initial, dtype=np.float64)
+        initial = check_field(initial, op.grid.n_nodes, n_comp, name="initial field")
+        u = op.with_interior_dofs(clamp, op.interior_dofs(initial))
         lu, fv = _evaluate(op, supremand, u)
     floor = _zero_floor(op, supremand, clamp)
 

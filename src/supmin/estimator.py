@@ -12,26 +12,11 @@ import inspect
 
 import numpy as np
 
-from .continuation import continuation_solve
-from .errors import DimensionMismatch
+from .continuation import BRACKET_STOP, NEWTON_TOL, P_MAX, continuation_solve
 from .grid import Grid
 from .operators import assemble_operator
 from .supremand import Supremand, WeightedPowerNorm
 from .tensors import EllipticTensor, identity_tensor
-
-
-def check_field(u, n_nodes, n_components, name="field"):
-    """Validate a finite nodal field and return it with shape (n_nodes, n_components)."""
-    out = np.ascontiguousarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if out.ndim == 1:
-        out = out.reshape(-1, 1)
-    if out.shape != (n_nodes, n_components):
-        raise DimensionMismatch(
-            f"{name} has shape {np.shape(u)}, expected ({n_nodes}, {n_components})"
-        )
-    return out
 
 
 class SupremalMinimizer:
@@ -53,13 +38,12 @@ class SupremalMinimizer:
         The cost F(x, xi); default WeightedPowerNorm(components), the
         squared Euclidean norm.  Build others with WeightedPowerNorm(...)
         or CustomSupremand.
-    p_schedule : sequence of float, optional
-        Explicit exponent schedule; default geometric up to p_max.
     p_max : float
-        Cap of the geometric schedule.
+        Last exponent of the doubling schedule 2, 4, ..., p_max, in [1, inf).
     newton_tol, bracket_stop : float
-        Stage tolerance and bracket stopping fraction.  Zero energy needs no
-        level: it is the data's roundoff floor.
+        Residual target of the final stage and the relative bracket width
+        that ends the run, both positive and finite (fit raises ValueError
+        otherwise).  Zero energy needs no level: it is the data's roundoff floor.
 
     Attributes (after fit)
     ----------------------
@@ -78,10 +62,9 @@ class SupremalMinimizer:
         components=1,
         tensor=None,
         supremand=None,
-        p_schedule=None,
-        p_max=4096.0,
-        newton_tol=1e-9,
-        bracket_stop=0.01,
+        p_max=P_MAX,
+        newton_tol=NEWTON_TOL,
+        bracket_stop=BRACKET_STOP,
     ):
         self.nodes = nodes
         self.lo = lo
@@ -89,7 +72,6 @@ class SupremalMinimizer:
         self.components = components
         self.tensor = tensor
         self.supremand = supremand
-        self.p_schedule = p_schedule
         self.p_max = p_max
         self.newton_tol = newton_tol
         self.bracket_stop = bracket_stop
@@ -147,18 +129,16 @@ class SupremalMinimizer:
         supremand = self._build_supremand()
         if callable(X):
             X = X(grid.coords())
-        clamp = check_field(X, grid.n_nodes, int(self.components), name="boundary field")
         op = assemble_operator(grid, tensor)
-        report = continuation_solve(
-            op, supremand, clamp, schedule=self.p_schedule, p_max=float(self.p_max),
-            newton_tol=float(self.newton_tol), bracket_stop=float(self.bracket_stop))
+        report = continuation_solve(op, supremand, X, p_max=self.p_max,
+                                    newton_tol=self.newton_tol, bracket_stop=self.bracket_stop)
         self.grid_ = grid
         self.operator_ = op
         self.report_ = report
         self.u_ = report.u
         self.f_ = report.f
         self.e_inf_ = report.e_inf
-        self.n_features_in_ = clamp.shape[1]
+        self.n_features_in_ = op.n_components
         return self
 
     def score(self, X=None, y=None):

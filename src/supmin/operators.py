@@ -271,8 +271,22 @@ def apply_operator(op, u):
     return op.apply_dofs(op.interior_dofs(u), op.clamp_part(u))
 
 
-def pcg(matvec, b, rtol=1e-12, atol=0.0, max_iter=None, diag=None):
-    """Jacobi-preconditioned conjugate gradients on an SPD system.
+def check_field(u, n_nodes, n_components, name="field"):
+    """Validate a finite nodal field and return it with shape (n_nodes, n_components)."""
+    out = np.ascontiguousarray(u, dtype=np.float64)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} contains non-finite entries")
+    if out.ndim == 1:
+        out = out.reshape(-1, 1)
+    if out.shape != (n_nodes, n_components):
+        raise DimensionMismatch(
+            f"{name} has shape {np.shape(u)}, expected ({n_nodes}, {n_components})"
+        )
+    return out
+
+
+def pcg(matvec, b, diag, rtol=1e-12, atol=0.0, max_iter=None):
+    """Conjugate gradients on an SPD system, preconditioned by its diagonal diag.
 
     Deterministic given fixed inputs; returns (x, residual_norm, iterations).
     """
@@ -282,15 +296,12 @@ def pcg(matvec, b, rtol=1e-12, atol=0.0, max_iter=None, diag=None):
         max_iter = 20 * m + 200
     x = np.zeros(m)
     r = b.copy()
-    if diag is not None:
-        inv_diag = 1.0 / np.where(np.abs(diag) > 0, diag, 1.0)
-    else:
-        inv_diag = None
+    inv_diag = 1.0 / np.where(np.abs(diag) > 0, diag, 1.0)
     target = max(atol, rtol * np.linalg.norm(b))
     res = np.linalg.norm(r)
     if res <= target:
         return x, res, 0
-    z = r * inv_diag if inv_diag is not None else r
+    z = r * inv_diag
     p = z.copy()
     rz = float(r @ z)
     for k in range(1, max_iter + 1):
@@ -304,7 +315,7 @@ def pcg(matvec, b, rtol=1e-12, atol=0.0, max_iter=None, diag=None):
         res = np.linalg.norm(r)
         if res <= target:
             return x, res, k
-        z = r * inv_diag if inv_diag is not None else r
+        z = r * inv_diag
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -314,16 +325,14 @@ def pcg(matvec, b, rtol=1e-12, atol=0.0, max_iter=None, diag=None):
 def dirichlet_solve(op, rhs, clamp, tol=1e-12, max_iter=None):
     """Solve L_h u = rhs at the interior nodes with the clamped layers prescribed.
 
-    rhs may be given on all nodes, on the equation nodes, or on the interior
-    nodes; clamp is a full field whose values at the clamped band are used.
-    The square interior system is solved by Jacobi-preconditioned CG on its
-    (sign-flipped) SPD form to a true residual <= tol * ||b||, b being the rhs
-    less the clamped layers' contribution; b = 0 gives zero interior values.
+    rhs is given on the equation nodes or on the interior nodes; clamp is a
+    full field whose values at the clamped band are used.  The square interior
+    system is solved by Jacobi-preconditioned CG on its (sign-flipped) SPD
+    form to a true residual <= tol * ||b||, b being the rhs less the clamped
+    layers' contribution; b = 0 gives zero interior values.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape == (op.grid.n_nodes, op.n_components):
-        rhs_int = rhs[op.interior_idx]
-    elif rhs.shape == (op.n_eq, op.n_components):
+    if rhs.shape == (op.n_eq, op.n_components):
         rhs_int = rhs.ravel()[op.square_rows].reshape(op.n_interior, op.n_components)
     elif rhs.shape == (op.n_interior, op.n_components):
         rhs_int = rhs

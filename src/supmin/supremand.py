@@ -111,6 +111,11 @@ class WeightedPowerNorm(Supremand):
     F = alpha * sum xi_k^2, F_xi = alpha * 2 xi, F_xixi = alpha * 2 I.  These
     are exactly the values the general formulas give at q = 2 (s^1 = s,
     S^0 = 1, a zero rank-one term), without their powers and masks.
+
+    With eps = 0 the cost is 2-homogeneous (F, F_xi, F_xixi of degrees 2, 1,
+    0), so a row of xi whose scale max|xi_k| would take the general formulas'
+    powers, up to |xi|^(2q - 2), out of floating-point range is evaluated at
+    xi / max|xi_k| and scaled back.
     """
 
     def __init__(self, n_components, q=2.0, alpha=1.0, eps=0.0, alpha_bounds=None):
@@ -122,6 +127,8 @@ class WeightedPowerNorm(Supremand):
         self.q = q
         self.eps = float(eps)
         self._quadratic = q == 2.0 and self.eps == 0.0
+        bound = 2.0 ** (1000.0 / (2.0 * q - 2.0)) if self.eps == 0.0 else np.inf
+        self._unit_range = (1.0 / bound, bound)
         self.alpha = alpha
         self.n_components = int(n_components)
         if callable(alpha):
@@ -163,13 +170,13 @@ class WeightedPowerNorm(Supremand):
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
         if self._quadratic:
             return self._weighted(points, (values**2).sum(axis=1))
-        return self._eval_general(points, values)
+        return self._homogeneous(self._eval_general, 2, points, values)
 
     def grad_field(self, points, values):
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
         if self._quadratic:
             return self._weighted(points, 2.0 * values)
-        return self._grad_general(points, values)
+        return self._homogeneous(self._grad_general, 1, points, values)
 
     def hess_field(self, points, values):
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -178,7 +185,23 @@ class WeightedPowerNorm(Supremand):
             hess = np.zeros((m, n * n))
             hess[:, :: n + 1] = 2.0   # the diagonal of each flattened (n, n) block
             return self._weighted(points, hess.reshape(m, n, n))
-        return self._hess_general(points, values)
+        return self._homogeneous(self._hess_general, 0, points, values)
+
+    def _homogeneous(self, general, degree, points, values):
+        """general(points, values) of homogeneity degree, out-of-range rows at unit scale."""
+        mags = np.abs(values)
+        lo, hi = self._unit_range
+        if lo <= mags.min(initial=np.inf) and mags.max(initial=0.0) <= hi:   # the common case
+            return general(points, values)
+        scale = mags.max(axis=1)
+        far = ((scale < lo) & (scale > 0.0)) | (scale > hi)
+        if not far.any():
+            return general(points, values)
+        values = values.copy()
+        values[far] /= scale[far, None]
+        out = general(points, values)
+        out[far] *= (scale[far] ** degree).reshape((-1,) + (1,) * (out.ndim - 1))
+        return out
 
     def _eval_general(self, points, values):
         _, big_s, offset = self._core(values)

@@ -52,14 +52,37 @@ def test_geometric_schedule():
     assert geometric_schedule(1.5) == (1.5,)
 
 
-def test_schedule_validation():
+def _assert_rejected_before_solving(monkeypatch, name, values):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an invalid setting must fail before any solve starts")
+
+    monkeypatch.setattr(supmin.continuation, "minimize_power_energy", no_solve)
     grid, op, F, u0 = make_1d_problem(nodes=21)
+    for value in values:
+        with pytest.raises(ValueError, match=name):
+            continuation_solve(op, F, u0, **{name: value})
+        with pytest.raises(ValueError, match=name):
+            SupremalMinimizer(nodes=21, **{name: value}).fit(u0)
+
+
+def test_schedule_validation(monkeypatch):
+    # p_max = inf would schedule 1,024 stages ending at p = inf
+    _assert_rejected_before_solving(monkeypatch, "p_max", (np.nan, np.inf, 0.5))
     with pytest.raises(ValueError):
-        continuation_solve(op, F, u0, schedule=())
-    with pytest.raises(ValueError):
-        continuation_solve(op, F, u0, schedule=(2.0, 2.0))
-    with pytest.raises(ValueError):
-        continuation_solve(op, F, u0, schedule=(0.5, 2.0))
+        geometric_schedule(np.nan)
+    assert list(inspect.signature(continuation_solve).parameters)[3:6] == [
+        "p_max", "newton_tol", "bracket_stop"]
+    assert list(inspect.signature(geometric_schedule).parameters) == ["p_max"]
+
+
+@pytest.mark.parametrize("name, values", [
+    ("newton_tol", (np.nan, 0.0, -1.0)),
+    ("bracket_stop", (np.nan, 0.0, -1.0, np.inf)),
+])
+def test_tolerance_validation(monkeypatch, name, values):
+    # newton_tol = nan or -1 used to return a stage marked stalled, and
+    # bracket_stop = nan or -1 to run every stage
+    _assert_rejected_before_solving(monkeypatch, name, values)
 
 
 def test_power_mean_constant_integrand():
@@ -399,9 +422,8 @@ def test_intermediate_stages_end_at_energy_accuracy(bang_bang_problem):
     # against a chain of stages each driven to tol = 1e-9: fewer Newton steps,
     # intermediate energies within 1e-8, and the stage that ends the run as accurate
     grid, op, F, u0 = bang_bang_problem
-    schedule = (2.0, 4.0, 8.0, 16.0)
-    rep = continuation_solve(op, F, u0, schedule=schedule, verify=False)
-    assert [row.p for row in rep.rows] == list(schedule)
+    rep = continuation_solve(op, F, u0, p_max=16.0, verify=False)
+    assert [row.p for row in rep.rows] == [2.0, 4.0, 8.0, 16.0]
     warm, chain_iters = cold_start(op, F, u0).u, 0
     for row in rep.rows:
         ref = minimize_power_energy(op, F, u0, row.p, warm_start=warm, tol=1e-9)
@@ -737,6 +759,23 @@ def test_degenerate_stage_row_reports_zero_cv():
     assert rep.degenerate and len(rep.rows) == 1
     assert rep.rows[0].cv == 0.0
     assert rep.verify.cv_F == 0.0
+
+
+def test_initial_field_keeps_the_clamp():
+    # only the initial field's interior values seed the run: a zero start on
+    # cubic data reaches the limit of the cold start, not a degenerate field
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    zeros = np.zeros_like(u0)
+    assert supmin.verify.uniqueness_check(op, F, u0, start_a=zeros) <= 1e-12
+    rep = continuation_solve(op, F, u0, initial=zeros, verify=False)
+    assert not rep.degenerate
+    np.testing.assert_array_equal(rep.u[op.clamp_idx], u0[op.clamp_idx])
+    with pytest.raises(DimensionMismatch, match="initial field"):
+        continuation_solve(op, F, u0, initial=zeros[1:])
+    bad = u0.copy()
+    bad[op.interior_idx[0]] = np.nan
+    with pytest.raises(ValueError, match="initial field"):
+        continuation_solve(op, F, u0, initial=bad)
 
 
 def test_component_mismatch_is_a_dimension_mismatch():

@@ -26,7 +26,7 @@ def test_get_params_round_trip():
     params = est.get_params()
     # one parameter per decision: the cost and the tensor are objects
     assert list(params) == ["nodes", "lo", "hi", "components", "tensor", "supremand",
-                            "p_schedule", "p_max", "newton_tol", "bracket_stop"]
+                            "p_max", "newton_tol", "bracket_stop"]
     assert params["supremand"] is cost
     assert params["bracket_stop"] == 0.02
     clone = SupremalMinimizer(**params)

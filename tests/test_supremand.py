@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -355,3 +357,26 @@ def test_quadratic_closed_form_matches_general_formulas(n, spatial):
                             (F.grad_field, F._grad_general),
                             (F.hess_field, F._hess_general)):
         np.testing.assert_array_equal(closed(points, values), general(points, values))
+
+
+@pytest.mark.parametrize("q", [3.0, 4.0, 8.0])
+def test_general_formulas_are_homogeneous_at_extreme_scales(q):
+    # F, F_xi and F_xixi are 2-, 1- and 0-homogeneous; |xi|^(2q - 2) in the
+    # Hessian used to overflow (all -inf at q = 3 and xi ~ 1e-80)
+    F = WeightedPowerNorm(2, q=q)
+    unit = np.array([[1.0, 0.5]])
+    ref = [F.eval_field(None, unit), F.grad_field(None, unit), F.hess_field(None, unit)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-150, 151, 10):
+            xi = 10.0**k * unit
+            got = [F.eval_field(None, xi) / 10.0 ** (2 * k), F.grad_field(None, xi) / 10.0**k,
+                   F.hess_field(None, xi)]
+            for value, want in zip(got, ref):
+                np.testing.assert_allclose(value, want, rtol=1e-12, atol=0.0, err_msg=f"k={k}")
+    # rows of in-range scale are evaluated as given, next to out-of-range ones
+    mixed = np.array([[1.0, 0.5], [1e-120, 5e-121], [0.0, 0.0], [3.0, -2.0]])
+    for field, general in ((F.eval_field, F._eval_general), (F.grad_field, F._grad_general),
+                           (F.hess_field, F._hess_general)):
+        np.testing.assert_array_equal(field(None, mixed)[[0, 2, 3]],
+                                      general(None, mixed[[0, 2, 3]]))

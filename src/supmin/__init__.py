@@ -15,8 +15,6 @@ from .continuation import (
     geometric_schedule,
     minimize_power_energy,
     penalized_solve,
-    power_mean_energy,
-    scaled_energy_gradient,
 )
 from .errors import (
     AsymmetricTensor,
@@ -66,7 +64,7 @@ from .tensors import (
 )
 from .verify import (
     VerifyReport,
-    absolute_min_spotcheck,
+    absolute_min_check,
     coefficient_of_variation,
     rescaling_invariance_check,
     uniqueness_check,

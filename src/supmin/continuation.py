@@ -80,18 +80,6 @@ def geometric_schedule(p_max):
     return tuple(out)
 
 
-def power_mean_energy(op, supremand, u, p):
-    """Discrete power mean of F(x, L_h u) over the equation nodes (uniform weights).
-
-    Computed in the peak-rescaled form m * (mean (F_i/m)^p)^(1/p), which stays
-    finite for arbitrarily large p.
-    """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    with np.errstate(divide="ignore"):
-        return _power_mean(_evaluate(op, supremand, u)[1], p)
-
-
 def _evaluate(op, supremand, u):
     """(L_h u, nodal costs F(x, L_h u)) at the equation nodes."""
     lu = apply_operator(op, u)
@@ -149,15 +137,6 @@ def _ratio_power(fv, m, expo, log_ratio=None):
     return np.where(fv > floor, out, 0.0 if expo != 0.0 else 1.0)
 
 
-def scaled_energy_gradient(op, supremand, u, p, scale):
-    """Gradient over interior dofs of mean_i (F(x, (L_h u)_i) / scale)^p."""
-    problem = _StageProblem(op, supremand, u, p)
-    problem.scale = scale
-    x = op.interior_dofs(u)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return problem.grad_state(x, *problem.evaluate(x)).grad
-
-
 @dataclass
 class StageResult:
     u: np.ndarray
@@ -184,6 +163,8 @@ class _StageProblem:
     """One fixed-exponent stage: peak-rescaled objective, gradient, Newton band, residual."""
 
     def __init__(self, op, supremand, clamp, p, bracket_stop=None):
+        if not 1.0 <= p < math.inf:
+            raise ValueError(f"p must be finite and >= 1, got {p}")
         self.op = op
         self.F = supremand
         self.p = float(p)
@@ -462,7 +443,10 @@ def minimize_power_energy(
     of a continuation that stops at the first bracket narrower than
     bracket_stop: while this stage's bracket is wider, it ends as soon as a
     full Newton step moves the power mean by at most ENERGY_RTOL relative.
+    A p outside [1, inf) or a tol that is not positive and finite is a ValueError.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     clamp = np.asarray(clamp, dtype=np.float64)
     u0 = clamp if warm_start is None else np.asarray(warm_start, dtype=np.float64)
     problem = _StageProblem(op, supremand, clamp, p, bracket_stop)
@@ -640,7 +624,8 @@ def penalized_solve(op, supremand, clamp, p, target):
 
     The quadratic tether makes the objective strictly convex; as p grows the
     minimizers select the sup-energy minimizer closest to the target.  Fails
-    like a stage (LineSearchStall, NoConvergence) short of a 1e-10 relative gradient.
+    like a stage (LineSearchStall, NoConvergence) short of a 1e-10 relative gradient;
+    a p outside [1, inf) is a ValueError.
     """
     clamp = np.asarray(clamp, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)

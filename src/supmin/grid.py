@@ -84,13 +84,11 @@ class Grid:
         idx = np.asarray(idx)
         return np.ravel_multi_index(tuple(idx[..., a] for a in range(self.dim)), self.shape)
 
-    def subbox_masks(self, start, stop):
-        """Node masks for the sub-box of lattice indices [start, stop) per axis.
+    def subgrid(self, start, stop):
+        """The sub-box of lattice indices [start, stop) per axis, as a grid of its own.
 
-        Returns (measure_mask, support_mask): the nodes at sub-box lattice
-        distance >= 1 (where the cost of a locally perturbed field is read off)
-        and those at distance >= 2 (where perturbations may live), mirroring
-        the clamped encoding of the parent grid.
+        Returns (grid, ids): the sub-box grid, whose nodes sit where the
+        parent's do, and the parent's flat ids of its nodes in its own order.
         """
         start = tuple(int(s) for s in np.atleast_1d(start))
         stop = tuple(int(s) for s in np.atleast_1d(stop))
@@ -99,10 +97,6 @@ class Grid:
         for a, (s0, s1, m) in enumerate(zip(start, stop, self.shape)):
             if not (0 <= s0 and s1 <= m and s1 - s0 >= 5):
                 raise ValueError(f"sub-box along axis {a} must hold >= 5 nodes inside the grid")
-        idx = self.multi_indices()
-        measure = np.ones(self.n_nodes, dtype=bool)
-        support = np.ones(self.n_nodes, dtype=bool)
-        for a in range(self.dim):
-            measure &= (idx[:, a] >= start[a] + 1) & (idx[:, a] < stop[a] - 1)
-            support &= (idx[:, a] >= start[a] + 2) & (idx[:, a] < stop[a] - 2)
-        return measure, support
+        corners = self.coords()[self.ravel_index(np.array([start, np.subtract(stop, 1)]))]
+        sub = Grid(tuple(np.subtract(stop, start)), lo=tuple(corners[0]), hi=tuple(corners[1]))
+        return sub, self.ravel_index(sub.multi_indices() + np.array(start))

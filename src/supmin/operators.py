@@ -33,6 +33,7 @@ class DiscreteOperator:
     """Sparse map from full nodal fields to div(A Du) at stencil-complete nodes."""
 
     grid: object
+    tensor: object            # the EllipticTensor assembled on grid
     n_components: int
     eq_idx: np.ndarray        # flat node ids of the equation/cost nodes (distance >= 1)
     interior_idx: np.ndarray  # flat node ids of the free unknowns (distance >= 2)
@@ -251,6 +252,7 @@ def assemble_operator(grid, tensor):
 
     return DiscreteOperator(
         grid=grid,
+        tensor=tensor,
         n_components=n_comp,
         eq_idx=eq_idx,
         interior_idx=interior_idx,

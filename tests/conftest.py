@@ -1,10 +1,21 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
-from supmin import Grid, WeightedPowerNorm, assemble_operator, identity_tensor
+from supmin import (
+    Grid,
+    WeightedPowerNorm,
+    assemble_operator,
+    block_diagonal_tensor,
+    continuation_solve,
+    identity_tensor,
+)
+
+BLOCKS = [np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])]
 
 
 def symmetric_velocity_profile(t):
@@ -65,3 +76,23 @@ def log_domain_power_mean(values, p):
 @pytest.fixture(scope="session")
 def bang_bang_problem():
     return make_1d_problem(nodes=201, profile="symmetric")
+
+
+@pytest.fixture(scope="session")
+def smoke_2d_run():
+    grid = Grid((41, 41))
+    xy = grid.coords()
+    u0 = np.stack(
+        [
+            np.sin(np.pi * xy[:, 0]) * np.sin(np.pi * xy[:, 1]),
+            0.5 * np.sin(2.0 * np.pi * xy[:, 0]) * np.sin(np.pi * xy[:, 1]),
+        ],
+        axis=1,
+    )
+    tensor = block_diagonal_tensor(BLOCKS)
+    op = assemble_operator(grid, tensor)
+    supremand = WeightedPowerNorm(2, q=2.0)
+    start = time.monotonic()
+    report = continuation_solve(op, supremand, u0, p_max=1024.0)
+    elapsed = time.monotonic() - start
+    return grid, op, supremand, u0, report, elapsed

@@ -2,7 +2,8 @@
 
 Each test prints one PASS line after its assertions; run with -s (or read the
 captured output) to see the roster.  The two expensive solves are shared
-session fixtures.
+session fixtures; the 2D smoke solve (smoke_2d_run) lives in conftest.py,
+because the absolute-minimality tests re-solve its sub-boxes.
 """
 
 import time
@@ -10,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_1d_problem
+from conftest import BLOCKS, make_1d_problem
 
 from supmin import (
     Grid,
@@ -38,9 +39,6 @@ def _report(criterion, text):
     print(f"\n[acceptance] criterion {criterion}: PASS - {text}")
 
 
-BLOCKS = [np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])]
-
-
 @pytest.fixture(scope="session")
 def bang_bang_run(bang_bang_problem):
     grid, op, F, u0 = bang_bang_problem
@@ -48,26 +46,6 @@ def bang_bang_run(bang_bang_problem):
     report = continuation_solve(op, F, u0, p_max=4096.0)
     elapsed = time.monotonic() - start
     return grid, op, F, u0, report, elapsed
-
-
-@pytest.fixture(scope="session")
-def smoke_2d_run():
-    grid = Grid((41, 41))
-    xy = grid.coords()
-    u0 = np.stack(
-        [
-            np.sin(np.pi * xy[:, 0]) * np.sin(np.pi * xy[:, 1]),
-            0.5 * np.sin(2.0 * np.pi * xy[:, 0]) * np.sin(np.pi * xy[:, 1]),
-        ],
-        axis=1,
-    )
-    tensor = block_diagonal_tensor(BLOCKS)
-    op = assemble_operator(grid, tensor)
-    supremand = WeightedPowerNorm(2, q=2.0)
-    start = time.monotonic()
-    report = continuation_solve(op, supremand, u0, p_max=1024.0)
-    elapsed = time.monotonic() - start
-    return grid, op, supremand, u0, report, elapsed
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import gc
 import inspect
+import types
 import weakref
 
 import numpy as np
@@ -29,13 +30,14 @@ from supmin import (
     identity_tensor,
     minimize_power_energy,
     penalized_solve,
-    power_mean_energy,
-    scaled_energy_gradient,
 )
 from supmin.cli import _solve_from_config
 from supmin.config import boundary_profile, build_grid, build_supremand, build_tensor, parse_config
 from supmin.continuation import (
+    _evaluate,
     _factor_spd,
+    _newton_loop,
+    _power_mean,
     _ratio_power,
     _solve_spd,
     _StageProblem,
@@ -43,6 +45,21 @@ from supmin.continuation import (
     cold_start,
 )
 from supmin.operators import _csr_matvec
+
+
+def _power_mean_of(op, F, u, p):
+    """Power mean of u's nodal costs, as a stage computes it."""
+    with np.errstate(divide="ignore"):
+        return _power_mean(_evaluate(op, F, u)[1], p)
+
+
+def _scaled_gradient(op, F, u, p, scale):
+    """Gradient over the interior dofs of mean_i (F_i / scale)^p, as a stage computes it."""
+    problem = _StageProblem(op, F, u, p)
+    problem.scale = scale
+    x = op.interior_dofs(u)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return problem.grad_state(x, *problem.evaluate(x)).grad
 
 
 def test_geometric_schedule():
@@ -53,16 +70,30 @@ def test_geometric_schedule():
 
 
 def _assert_rejected_before_solving(monkeypatch, name, values):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("an invalid setting must fail before any solve starts")
+    """Each entry point taking the setting name rejects each value before factoring."""
+    def no_factor(*args, **kwargs):
+        raise AssertionError("an invalid setting must fail before any factorization")
 
-    monkeypatch.setattr(supmin.continuation, "minimize_power_energy", no_solve)
+    monkeypatch.setattr(supmin.continuation, "_factor_spd", no_factor)
     grid, op, F, u0 = make_1d_problem(nodes=21)
+
+    def run(kw):
+        continuation_solve(op, F, u0, **kw)
+
+    def fit(kw):
+        SupremalMinimizer(nodes=21, **kw).fit(u0)
+
+    def stage(kw):
+        minimize_power_energy(op, F, u0, **{"p": 2.0, **kw})
+
+    def penalized(kw):
+        penalized_solve(op, F, u0, target=u0, **kw)
+
+    calls = {"p": (stage, penalized), "tol": (stage,)}.get(name, (run, fit))
     for value in values:
-        with pytest.raises(ValueError, match=name):
-            continuation_solve(op, F, u0, **{name: value})
-        with pytest.raises(ValueError, match=name):
-            SupremalMinimizer(nodes=21, **{name: value}).fit(u0)
+        for call in calls:
+            with pytest.raises(ValueError, match=name):
+                call({name: value})
 
 
 def test_schedule_validation(monkeypatch):
@@ -78,10 +109,13 @@ def test_schedule_validation(monkeypatch):
 @pytest.mark.parametrize("name, values", [
     ("newton_tol", (np.nan, 0.0, -1.0)),
     ("bracket_stop", (np.nan, 0.0, -1.0, np.inf)),
+    ("tol", (np.nan, 0.0, -1.0, np.inf)),
+    ("p", (np.nan, np.inf, 0.5, -1.0)),
 ])
 def test_tolerance_validation(monkeypatch, name, values):
-    # newton_tol = nan or -1 used to return a stage marked stalled, and
-    # bracket_stop = nan or -1 to run every stage
+    # newton_tol or a stage's tol = nan or -1 used to return a stage marked
+    # stalled, bracket_stop = nan or -1 to run every stage, and a stage or
+    # penalized p below 1 or non-finite to end in NoConvergence
     _assert_rejected_before_solving(monkeypatch, name, values)
 
 
@@ -90,12 +124,12 @@ def test_power_mean_constant_integrand():
     grid, op, F, _ = make_1d_problem(nodes=41)
     u = (grid.coords()[:, 0] ** 2).reshape(-1, 1)
     for p in (1.0, 2.0, 7.0, 1024.0):
-        assert power_mean_energy(op, F, u, p) == pytest.approx(4.0, rel=1e-12)
+        assert _power_mean_of(op, F, u, p) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_power_mean_monotone_in_p():
     grid, op, F, u0 = make_1d_problem(nodes=41)
-    assert power_mean_energy(op, F, u0, 2.0) <= power_mean_energy(op, F, u0, 4.0)
+    assert _power_mean_of(op, F, u0, 2.0) <= _power_mean_of(op, F, u0, 4.0)
 
 
 def test_power_mean_log_domain_reference():
@@ -111,7 +145,7 @@ def test_power_mean_log_domain_reference():
     grid, op, F, u0 = make_1d_problem(nodes=41)
     fv = F.eval_field(op.eq_coords(), apply_operator(op, u0))
     for p in (2.0, 64.0, 1024.0):
-        assert power_mean_energy(op, F, u0, p) == pytest.approx(
+        assert _power_mean_of(op, F, u0, p) == pytest.approx(
             log_domain_power_mean(fv, p), rel=1e-12
         )
 
@@ -124,7 +158,7 @@ def test_gradient_matches_finite_differences():
     p = 4.0
     fv = F.eval_field(op.eq_coords(), apply_operator(op, u))
     scale = float(fv.max())
-    grad = scaled_energy_gradient(op, F, u, p, scale)
+    grad = _scaled_gradient(op, F, u, p, scale)
 
     def objective(x):
         w = op.with_interior_dofs(u, x)
@@ -142,7 +176,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_zero_at_zero_cost():
     grid, op, F, _ = make_1d_problem(nodes=31, profile="affine")
     u = (0.3 * grid.coords()[:, 0] + 0.1).reshape(-1, 1)
-    grad = scaled_energy_gradient(op, F, u, 4.0, 1.0)
+    grad = _scaled_gradient(op, F, u, 4.0, 1.0)
     np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
 
@@ -156,7 +190,7 @@ def test_exponent_one_matches_direct_least_squares():
     x_direct, *_ = np.linalg.lstsq(free, -part, rcond=None)
     u_direct = op.with_interior_dofs(u0, x_direct)
     assert np.max(np.abs(res.u - u_direct)) <= 1e-8
-    grad = scaled_energy_gradient(op, F, u_direct, 1.0, 1.0)
+    grad = _scaled_gradient(op, F, u_direct, 1.0, 1.0)
     assert np.linalg.norm(grad) <= 1e-8
 
 
@@ -197,7 +231,7 @@ def test_dual_field_at_constant_cost():
     # constant cost makes the ratio one: the dual field is the cost gradient
     grid, op, F, _ = make_1d_problem(nodes=41)
     u = (grid.coords()[:, 0] ** 2).reshape(-1, 1)
-    e = power_mean_energy(op, F, u, 32.0)
+    e = _power_mean_of(op, F, u, 32.0)
     f = dual_field(op, F, u, 32.0, e)
     gv = F.grad_field(op.eq_coords(), apply_operator(op, u))
     np.testing.assert_allclose(f, gv, rtol=1e-10)
@@ -273,7 +307,7 @@ def test_one_operator_evaluation_per_stage(bang_bang_problem, monkeypatch):
     # fields[0] is the cold start; each stage's energy is its field's power mean
     assert len(fields) == len(rep.rows) + 1
     for row, u in zip(rep.rows, fields[1:]):
-        assert row.energy == power_mean_energy(op, F, u, row.p)
+        assert row.energy == _power_mean_of(op, F, u, row.p)
 
 
 def test_continuation_affine_data_degenerates():
@@ -285,15 +319,27 @@ def test_continuation_affine_data_degenerates():
     np.testing.assert_allclose(rep.f, 0.0)
 
 
+def _assert_brackets_lp_optimum(op, u0, rep):
+    disc_opt = lp_min_max_abs(op, u0) ** 2
+    lo, hi = rep.bracket
+    assert lo <= disc_opt * (1 + 1e-8)
+    assert hi >= disc_opt * (1 - 1e-8)
+    # the printed value is the bracket's midpoint, so within half its width
+    # of the optimum (0.9 hi + 0.1 lo would miss by 0.053 at 201 nodes)
+    assert abs(rep.e_inf - disc_opt) <= 0.5 * (hi - lo)
+    rep.check_invariants()
+
+
 def test_continuation_symmetric_case_brackets_lp_optimum(bang_bang_problem):
     grid, op, F, u0 = bang_bang_problem
     rep = continuation_solve(op, F, u0, p_max=4096.0)
-    tau = lp_min_max_abs(op, u0)
-    disc_opt = tau**2
-    assert rep.bracket[0] <= disc_opt * (1 + 1e-8)
-    assert rep.bracket[1] >= disc_opt * (1 - 1e-8)
+    _assert_brackets_lp_optimum(op, u0, rep)
     assert rep.e_inf == pytest.approx(16.0, rel=0.02)
-    rep.check_invariants()
+
+
+def test_continuation_coarse_symmetric_case_brackets_lp_optimum():
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    _assert_brackets_lp_optimum(op, u0, continuation_solve(op, F, u0))
 
 
 def test_continuation_quadratic_data_coarse_lp_check():
@@ -348,7 +394,7 @@ def test_penalized_solve_minimality_and_trend(bang_bang_problem):
 
     def objective(v, p):
         pen = 0.5 * float(np.mean(np.sum((v - target)[op.interior_idx] ** 2, axis=1)))
-        return power_mean_energy(op, F, v, p) + pen
+        return _power_mean_of(op, F, v, p) + pen
 
     distances = []
     for p in (16.0, 64.0, 256.0):
@@ -390,6 +436,41 @@ def test_stage_rows_report_stalled():
     assert any(row.stalled for row in strict.rows)
     default = continuation_solve(op, F, u0, p_max=64.0, verify=False)
     assert default.rows[0].stalled is False
+
+
+class _FlatProblem:
+    """A Newton-loop problem at a flat objective whose residual stays at level."""
+
+    p, scale, zero_floor = 2.0, 1.0, 0.0
+
+    def __init__(self, level):
+        self.level = level
+
+    def evaluate(self, x):
+        return x, np.ones(1)
+
+    def objective(self, x, fv):
+        return 1.0
+
+    def grad_state(self, x, lu, fv):
+        return types.SimpleNamespace(lu=lu, fv=fv, grad=np.full(x.size, 1e-12))
+
+    def newton_band(self, state):
+        return np.ones((1, state.grad.size), order="F")
+
+    def residual(self, state):
+        return self.level
+
+    def settled(self, gain, obj, fv):
+        return False
+
+
+def test_residual_floor_accepted_as_stalled_only_up_to_stall_accept():
+    # a residual stuck at 1e-5 is a failure, at 1e-7 a stall the stage reports
+    with pytest.raises(NoConvergence, match="stagnated"):
+        _newton_loop(_FlatProblem(1e-5), np.zeros(3), 1e-9, 50, False, "flat")
+    x, iters, res, stalled, *_ = _newton_loop(_FlatProblem(1e-7), np.zeros(3), 1e-9, 50, False, "flat")
+    assert stalled and res == 1e-7 and iters < 10
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -531,7 +612,7 @@ def test_stalled_stage_returns_the_evaluation_of_its_field(monkeypatch):
     np.testing.assert_array_equal(res.u, warm)
     np.testing.assert_array_equal(res.lu, apply_operator(op, warm))
     np.testing.assert_array_equal(res.fv, F.eval_field(op.eq_coords(), res.lu))
-    assert res.energy == power_mean_energy(op, F, warm, 4.0)
+    assert res.energy == _power_mean_of(op, F, warm, 4.0)
 
 
 def _dense_hessian(op, blocks):

@@ -160,6 +160,35 @@ def test_dirichlet_solve_second_order_convergence():
     assert 3.0 <= ratio <= 5.0  # halving h divides the error by ~4
 
 
+def cross_term_problem():
+    """2D, N = 2, a constant tensor with cross-derivative terms, on a shifted box."""
+    grid = Grid((21, 17), lo=(0.0, -1.0), hi=(2.0, 1.0))
+    return grid, assemble_operator(grid, random_symmetric_tensor(2, 2, seed=3))
+
+
+@pytest.mark.parametrize("build, start, stop", [
+    (lambda: variable_coefficient_problem(41)[:2], (7,), (30,)),
+    (cross_term_problem, (3, 0), (14, 9)),
+], ids=["1d_variable", "2d_cross_terms"])
+def test_subgrid_operator_restricts_the_parent(build, start, stop):
+    # the sub-box grid's nodes sit on the parent's, and its operator, assembled
+    # from the parent's tensor, is the parent's at the sub-box equation nodes
+    grid, op = build()
+    sub, ids = grid.subgrid(start, stop)
+    np.testing.assert_allclose(sub.coords(), grid.coords()[ids], rtol=0.0, atol=1e-14)
+    sub_op = assemble_operator(sub, op.tensor)
+    u = np.random.default_rng(5).standard_normal((grid.n_nodes, op.n_components))
+    eq_pos = np.full(grid.n_nodes, -1)
+    eq_pos[op.eq_idx] = np.arange(op.n_eq)
+    parent_lu = apply_operator(op, u)[eq_pos[ids[sub_op.eq_idx]]]
+    np.testing.assert_allclose(apply_operator(sub_op, u[ids]), parent_lu,
+                               rtol=0.0, atol=1e-10 * np.max(np.abs(parent_lu)))
+    for bad_start, bad_stop in (((0,) * 3, (5,) * 3), ((-1,) * grid.dim, stop),
+                                (start, np.add(grid.shape, 1)), (start, np.add(start, 4))):
+        with pytest.raises(ValueError, match="sub-box"):
+            grid.subgrid(bad_start, bad_stop)
+
+
 def test_small_grid_rejected():
     with pytest.raises(StencilOutOfDomain):
         assemble_operator(Grid((4,)), identity_tensor(1, 1))

@@ -7,7 +7,7 @@ from supmin import (
     ClampedBC1D,
     CustomSupremand,
     DegenerateField,
-    absolute_min_spotcheck,
+    absolute_min_check,
     apply_operator,
     coefficient_of_variation,
     continuation_solve,
@@ -121,24 +121,23 @@ def test_midpoint_energy_probe(bang_bang_problem):
     assert np.all(fm <= np.maximum(fa, fb) + 1e-8)
 
 
-def test_spotcheck_on_minimizer(bang_bang_problem):
-    grid, op, F, u0 = bang_bang_problem
-    rep = continuation_solve(op, F, u0, p_max=1024.0, verify=False)
-    assert absolute_min_spotcheck(op, F, rep.u, (40,), (120,), perturbations=50,
-                                  amplitude=0.1, seed=0)
-    # zero perturbation can never win
-    assert absolute_min_spotcheck(op, F, rep.u, (40,), (120,), perturbations=5,
-                                  amplitude=0.0, seed=1)
-
-
-def test_spotcheck_contrast_probe(bang_bang_problem):
-    # a low-exponent minimizer is not the sup minimizer; localized random
-    # perturbations may lower the local peak (logged, not asserted)
-    grid, op, F, u0 = bang_bang_problem
-    res = minimize_power_energy(op, F, u0, p=2.0)
-    outcome = absolute_min_spotcheck(op, F, res.u, (60, ), (140,), perturbations=50,
-                                     amplitude=0.2, seed=2)
-    print(f"\nspotcheck on the exponent-2 minimizer: {outcome}")
+def test_absolute_min_check_passes_sup_and_fails_p2_minimizer(bang_bang_problem, smoke_2d_run):
+    # the sup minimizer also minimizes the peak on each sub-box among the
+    # fields sharing its two outer sub-box layers; the p = 2 minimizer does not
+    _, op_1d, F_1d, u0_1d = bang_bang_problem
+    _, op_2d, F_2d, u0_2d, report_2d, _ = smoke_2d_run
+    sup_1d = continuation_solve(op_1d, F_1d, u0_1d, verify=False).u
+    cases = [
+        (op_1d, F_1d, u0_1d, sup_1d, [((40,), (120,)), ((10,), (60,))]),
+        (op_2d, F_2d, u0_2d, report_2d.u, [((5, 5), (26, 26)), ((15, 10), (36, 31))]),
+    ]
+    for op, F, clamp, u_sup, boxes in cases:
+        u_p2 = minimize_power_energy(op, F, clamp, p=2.0).u
+        for start, stop in boxes:
+            peak, (lo, hi) = absolute_min_check(op, F, u_sup, start, stop)
+            assert lo <= peak <= hi + 1e-8 * max(1.0, hi)
+            peak, (lo, hi) = absolute_min_check(op, F, u_p2, start, stop)
+            assert peak > hi
 
 
 def test_rescaling_invariance_identity_and_double(bang_bang_problem):

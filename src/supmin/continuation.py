@@ -443,10 +443,13 @@ def minimize_power_energy(
     of a continuation that stops at the first bracket narrower than
     bracket_stop: while this stage's bracket is wider, it ends as soon as a
     full Newton step moves the power mean by at most ENERGY_RTOL relative.
-    A p outside [1, inf) or a tol that is not positive and finite is a ValueError.
+    A p outside [1, inf), a tol that is not positive and finite, or a
+    bracket_stop that is neither None nor positive and finite is a ValueError.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if bracket_stop is not None and not 0.0 < bracket_stop < math.inf:
+        raise ValueError(f"bracket_stop must be None or positive and finite, got {bracket_stop}")
     clamp = np.asarray(clamp, dtype=np.float64)
     u0 = clamp if warm_start is None else np.asarray(warm_start, dtype=np.float64)
     problem = _StageProblem(op, supremand, clamp, p, bracket_stop)

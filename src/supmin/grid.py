@@ -63,21 +63,14 @@ class Grid:
         grids = np.meshgrid(*[np.arange(m) for m in self.shape], indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
+    def face_distance(self):
+        """Lattice distance of each node to the nearest face, shape (n_nodes,)."""
+        idx = self.multi_indices()
+        return np.min(np.minimum(idx, np.subtract(self.shape, 1) - idx), axis=1)
+
     def interior_mask(self):
         """True at nodes at lattice distance >= 2 from every face (the free unknowns)."""
-        idx = self.multi_indices()
-        mask = np.ones(self.n_nodes, dtype=bool)
-        for a, m in enumerate(self.shape):
-            mask &= (idx[:, a] >= 2) & (idx[:, a] <= m - 3)
-        return mask
-
-    def stencil_mask(self):
-        """True where the radius-one stencil fits (lattice distance >= 1 from every face)."""
-        idx = self.multi_indices()
-        mask = np.ones(self.n_nodes, dtype=bool)
-        for a, m in enumerate(self.shape):
-            mask &= (idx[:, a] >= 1) & (idx[:, a] <= m - 2)
-        return mask
+        return self.face_distance() >= 2
 
     def ravel_index(self, idx):
         """Flat node id(s) for lattice multi-indices, shape (..., dim)."""

@@ -11,7 +11,10 @@ from the faces).  This includes the inner ring of the clamped band: the
 curvature connecting the prescribed boundary slope to the free region is
 measured there, which is what makes the clamped first-derivative data
 binding for sup-norm energies.  The free unknowns remain the nodes at
-distance >= 2.
+distance >= 2.  Assembly writes the free-column and clamped-column CSR parts
+straight from the stencil weights, summed per lattice shift; a mixed term
+whose constant coefficients vanish is left out, so no explicit zeros are
+stored for it.
 
 L_h u has one evaluation, DiscreteOperator.apply_dofs (free columns times the
 free dofs plus the clamped band's part); apply_operator and the Newton stages
@@ -165,7 +168,7 @@ def _hessian_pattern(free_matrix, n_comp):
 
 
 def assemble_operator(grid, tensor):
-    """Assemble the flux-form stencil matrix of div(A Du).
+    """Assemble the flux-form stencil of div(A Du) into its free and clamped CSR parts.
 
     A tensor that is not symmetric (A[a,b,i,j] != A[b,a,j,i]) raises
     AsymmetricTensor; a variable one is checked at the equation nodes.
@@ -178,32 +181,25 @@ def assemble_operator(grid, tensor):
         raise DimensionMismatch(
             f"tensor has {tensor.n} axes but grid has dimension {grid.dim}"
         )
-    eq_idx = np.flatnonzero(grid.stencil_mask())
+    depth = grid.face_distance()
+    eq_idx = np.flatnonzero(depth >= 1)
+    interior = depth >= 2
+    interior_idx = np.flatnonzero(interior)
+    clamp_idx = np.flatnonzero(~interior)
     x_eq = grid.coords()[eq_idx]
     tensor.check_symmetry(None if tensor.is_constant else x_eq)
     n = grid.dim
     n_comp = tensor.n_components
+    n_rows = eq_idx.size * n_comp
     h = np.array(grid.spacing)
-    interior = grid.interior_mask()
-    interior_idx = np.flatnonzero(interior)
-    clamp_idx = np.flatnonzero(~interior)
-    n_eq = eq_idx.size
-    idx_eq = grid.multi_indices()[eq_idx]
+    step = grid.ravel_index(np.eye(n, dtype=int))  # flat shift of one lattice step per axis
 
-    def flat_shifted(offsets):
-        return grid.ravel_index(idx_eq + np.asarray(offsets, dtype=int))
+    # flat shift -> (n_eq, N, N) stencil weights coupling (row comp i, col comp j);
+    # at most two terms meet at one shift, so the sums do not depend on their order
+    weights = {}
 
-    rows, cols, vals = [], [], []
-    row_base = np.arange(n_eq) * n_comp
-
-    def add_block(col_nodes, coeff):
-        # coeff: (n_eq, N, N) stencil weights coupling (row comp i, col comp j)
-        col_base = col_nodes * n_comp
-        for i in range(n_comp):
-            for j in range(n_comp):
-                rows.append(row_base + i)
-                cols.append(col_base + j)
-                vals.append(coeff[:, i, j])
+    def add(shift, coeff):
+        weights[shift] = weights[shift] + coeff if shift in weights else coeff
 
     for a in range(n):
         e_a = np.zeros(n)
@@ -211,14 +207,12 @@ def assemble_operator(grid, tensor):
         # axis term: midpoint coefficients, first differences
         a_plus = tensor.at(x_eq + 0.5 * e_a)[:, a, a, :, :]
         a_minus = tensor.at(x_eq - 0.5 * e_a)[:, a, a, :, :]
-        off = np.zeros(n, dtype=int)
-        off[a] = 1
         inv_h2 = 1.0 / h[a] ** 2
-        add_block(flat_shifted(off), a_plus * inv_h2)
-        add_block(flat_shifted(-off), a_minus * inv_h2)
-        add_block(eq_idx, -(a_plus + a_minus) * inv_h2)
+        add(step[a], a_plus * inv_h2)
+        add(-step[a], a_minus * inv_h2)
+        add(0, -(a_plus + a_minus) * inv_h2)
         for b in range(n):
-            if b == a:
+            if b == a or (tensor.is_constant and not np.any(tensor.entries[a, b])):
                 continue
             # cross term: centered difference in axis b of the flux at x +- h_a e_a
             c_plus = tensor.at(x_eq + e_a)[:, a, b, :, :]
@@ -226,28 +220,32 @@ def assemble_operator(grid, tensor):
             w = 1.0 / (4.0 * h[a] * h[b])
             for sa, coeff in ((1, c_plus), (-1, c_minus)):
                 for sb in (1, -1):
-                    off = np.zeros(n, dtype=int)
-                    off[a] = sa
-                    off[b] = sb
-                    add_block(flat_shifted(off), sa * sb * w * coeff)
+                    add(sa * step[a] + sb * step[b], sa * sb * w * coeff)
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    matrix = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(n_eq * n_comp, grid.n_nodes * n_comp)
-    ).tocsr()
+    # entry (e, i, k, j) couples row comp i of equation node e to comp j of the
+    # node at the k-th shift; ascending shifts give each row ascending columns
+    shifts = sorted(weights)
+    vals = np.stack([weights[s] for s in shifts], axis=2)
+    col_nodes = eq_idx[:, None] + np.array(shifts)
+    pos = np.empty(grid.n_nodes, dtype=np.int64)  # position in the free or the clamped part
+    pos[interior_idx] = np.arange(interior_idx.size)
+    pos[clamp_idx] = np.arange(clamp_idx.size)
+    # one row per (e, i), made contiguous so the masked reads below run fast
+    shape = (n_rows, len(shifts) * n_comp)
+    cols = np.broadcast_to(
+        (pos[col_nodes] * n_comp)[:, None, :, None] + np.arange(n_comp), vals.shape
+    ).reshape(shape)
+    is_free = np.broadcast_to(interior[col_nodes][:, None, :, None], vals.shape).reshape(shape)
+    vals = vals.reshape(shape)
 
-    free_cols = (interior_idx[:, None] * n_comp + np.arange(n_comp)).ravel()
-    clamp_cols = (clamp_idx[:, None] * n_comp + np.arange(n_comp)).ravel()
-    csc = matrix.tocsc()
-    free_matrix = csc[:, free_cols].tocsr()
-    clamp_matrix = csc[:, clamp_cols].tocsr()
+    def csr_part(keep, n_nodes):
+        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+        return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n_rows, n_nodes * n_comp))
 
+    free_matrix = csr_part(is_free, interior_idx.size)
+    clamp_matrix = csr_part(~is_free, clamp_idx.size)
     # row positions of the interior nodes inside the equation-node ordering
-    eq_pos = np.full(grid.n_nodes, -1, dtype=int)
-    eq_pos[eq_idx] = np.arange(n_eq)
-    sq = eq_pos[interior_idx]
+    sq = np.searchsorted(eq_idx, interior_idx)
     square_rows = (sq[:, None] * n_comp + np.arange(n_comp)).ravel()
 
     return DiscreteOperator(

@@ -89,7 +89,8 @@ def _assert_rejected_before_solving(monkeypatch, name, values):
     def penalized(kw):
         penalized_solve(op, F, u0, target=u0, **kw)
 
-    calls = {"p": (stage, penalized), "tol": (stage,)}.get(name, (run, fit))
+    calls = {"p": (stage, penalized), "tol": (stage,),
+             "bracket_stop": (run, fit, stage)}.get(name, (run, fit))
     for value in values:
         for call in calls:
             with pytest.raises(ValueError, match=name):
@@ -114,8 +115,9 @@ def test_schedule_validation(monkeypatch):
 ])
 def test_tolerance_validation(monkeypatch, name, values):
     # newton_tol or a stage's tol = nan or -1 used to return a stage marked
-    # stalled, bracket_stop = nan or -1 to run every stage, and a stage or
-    # penalized p below 1 or non-finite to end in NoConvergence
+    # stalled, bracket_stop = nan or -1 to run every stage (and a stage given
+    # it to factor), and a stage or penalized p below 1 or non-finite to end
+    # in NoConvergence
     _assert_rejected_before_solving(monkeypatch, name, values)
 
 

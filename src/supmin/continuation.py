@@ -5,22 +5,26 @@ from 2 up to p_max; each stage is a smooth convex minimization solved by damped
 Newton, warm-started from the previous stage.  The stage Hessians L^T D L are
 symmetric positive definite and banded in the natural (C-order) dof order, so
 each Newton system is factored by banded Cholesky at cost O(n * bw^2).  Each
-Newton step scatters the nodal products of L^T D L straight into band storage
-through the operator's stencil pattern (DiscreteOperator.hessian_pattern),
-and the bandwidth bw comes from that pattern.  The band is LAPACK upper band
-storage held column-major (a Fortran-ordered (bw + 1, n) array), so dpbtrf
-reads it without a transposing copy.  The pattern drops explicit
-zeros of the stencil, so with N components on a 2D grid with m_last nodes
-along the last axis bw is at most 2(m_last - 4) * N + N - 1 for 5-point
-operators (no cross-derivative terms) and (2(m_last - 4) + 2) * N + N - 1
-with them; in 1D it is at most 3N - 1.  Objectives are rescaled by the running peak cost
-so that arbitrarily large exponents stay inside floating-point range, and
-each stage reports the rigorous bracket [power mean, peak] around the
-limiting value.
+Newton step assembles the band of L^T D L by one sparse mat-vec: the
+operator's product map (DiscreteOperator.hessian_pattern), built once from
+the nonzero free-column coefficients, takes the nodal (N, N) blocks of D to
+every stored upper band entry, and the bandwidth bw comes from that map.  The
+band is LAPACK upper band storage held column-major (a Fortran-ordered
+(bw + 1, n) array), so dpbtrf reads it without a transposing copy.  A stage
+keeps two such buffers from its first step on: the band, rewritten at its
+stored entries each step (every other entry stays zero), and the factor,
+which dpbtrf overwrites in place; so no Newton step allocates a band.  The
+operator stores no zero coefficients, so with N components on a 2D grid with
+m_last nodes along the last axis bw is at most 2(m_last - 4) * N + N - 1 for
+5-point operators (no cross-derivative terms) and (2(m_last - 4) + 2) * N +
+N - 1 with them; in 1D it is at most 3N - 1.  Objectives are rescaled by the
+running peak cost so that arbitrarily large exponents stay inside
+floating-point range, and each stage reports the rigorous bracket
+[power mean, peak] around the limiting value.
 
 One damped Newton loop (_newton_loop) serves every minimization here; the
-problem object it runs supplies the objective, its gradient, the banded
-Newton matrix and the stopping residual.  _StageProblem is a continuation
+problem object it runs supplies the objective, its gradient, the factored
+banded Newton matrix and the stopping residual.  _StageProblem is a continuation
 stage; _TetheredProblem adds the quadratic tether of penalized_solve.
 
 L_h u is evaluated by the operator (DiscreteOperator.apply_dofs), once per field:
@@ -175,6 +179,7 @@ class _StageProblem:
         self.zero_floor = _zero_floor(op, supremand, clamp)
         self.scale = None
         self.bracket_stop = bracket_stop   # set on intermediate stages only
+        self._band = self._factor = None   # band buffers, made on the first Newton step
 
     def evaluate(self, x):
         """(L_h u, nodal costs) of the field with interior dofs x."""
@@ -193,8 +198,8 @@ class _StageProblem:
         grad = _csr_matvec(self.op.free_matrix_t, w.ravel())
         return _State(lu=lu, fv=fv, gv=gv, log_ratio=log_ratio, r_pm1=r_pm1, w=w, grad=grad)
 
-    def newton_band(self, state):
-        """Upper band storage of the exact objective Hessian L^T D L at state."""
+    def newton_blocks(self, state):
+        """Nodal (N, N) blocks D of the exact objective Hessian L^T D L at state."""
         p, m = self.p, self.scale
         hv = self.F.hess_field(self.coords, state.lu)
         r_pm2 = _ratio_power(state.fv, m, p - 2.0, state.log_ratio)
@@ -207,16 +212,31 @@ class _StageProblem:
                 f"cost scale {m:.3e} is too small for the Newton system: its square underflows"
             )
         blocks *= p / denom
-        return self.hessian_band(blocks)
+        return blocks
+
+    def newton_band(self, state):
+        """Upper band storage of the exact objective Hessian L^T D L at state."""
+        return self.hessian_band(self.newton_blocks(state))
 
     def hessian_band(self, blocks):
-        """Upper band storage of L^T D L for nodewise (N, N) blocks D_i, Fortran-ordered."""
+        """Upper band storage of L^T D L for nodewise (N, N) blocks D_i, Fortran-ordered.
+
+        The band is the stage's own buffer, allocated zero on first use: each
+        call rewrites its stored entries and leaves the rest at zero.
+        """
         pattern = self.op.hessian_pattern
-        v = pattern.coeffs
-        local = v @ (blocks @ v.transpose(0, 2, 1))
-        size = (pattern.bandwidth + 1) * pattern.n_dofs
-        band = np.bincount(pattern.band_index, weights=local.ravel(), minlength=size + 1)
-        return band[:size].reshape(pattern.n_dofs, pattern.bandwidth + 1).T
+        if self._band is None:
+            self._band = np.zeros((pattern.bandwidth + 1, pattern.n_dofs), order="F")
+        flat = self._band.T.reshape(-1)  # a view: the band is column-major
+        flat[pattern.band_pos] = _csr_matvec(pattern.products, blocks.ravel())
+        return self._band
+
+    def newton_factor(self, state):
+        """Banded Cholesky factor of the Newton matrix at state, in the stage's factor buffer."""
+        band = self.newton_band(state)
+        if self._factor is None:
+            self._factor = np.empty_like(band, order="F")
+        return _factor_spd(band, self._factor, self.op.hessian_pattern.band_pos)
 
     def residual(self, state):
         """||L^T w|| relative to the operator scale and the weight field size.
@@ -268,8 +288,9 @@ class _TetheredProblem(_StageProblem):
         return state
 
     def newton_band(self, state):
-        band = super().newton_band(state)
-        band *= self._chain(state.fv)
+        blocks = self.newton_blocks(state)
+        blocks *= self._chain(state.fv)
+        band = self.hessian_band(blocks)
         band[-1] += 1.0 / self.n_int
         return band
 
@@ -280,24 +301,26 @@ class _TetheredProblem(_StageProblem):
         return gnorm / self.g0
 
 
-def _factor_spd(band):
+def _factor_spd(band, factor, stored):
     """Upper banded Cholesky factor R of the (regularized) Hessian H + shift*I.
 
-    band is the LAPACK upper band storage of H, band[bw + i - j, j] = H[i, j],
-    best Fortran-ordered (column-major) as hessian_band returns it, since
-    dpbtrf would otherwise copy it into that order; its last (diagonal) row
-    is overwritten with the shifted diagonal.  dpbtrf reports a non-positive
+    band is the LAPACK upper band storage of H, band[bw + i - j, j] = H[i, j];
+    stored indexes its flat column-major entries that may be nonzero (every
+    other one must be zero), and only those are checked for finiteness.
+    band is left untouched: each attempt copies it into factor, a
+    Fortran-ordered buffer of the same shape, shifts the diagonal (last) row
+    there, and dpbtrf factors it in place.  dpbtrf reports a non-positive
     leading minor as info > 0, which lifts the shift until the band factors.
     R comes back in the same band storage, as _solve_spd reads it.
     """
-    if not np.all(np.isfinite(band)):
+    if not np.all(np.isfinite(band.T.reshape(-1)[stored])):
         raise NoConvergence("Newton system has non-finite entries")
-    diag = band[-1].copy()
-    scale = max(float(np.max(np.abs(diag))), 1e-300)
+    scale = max(float(np.max(np.abs(band[-1]))), 1e-300)
     shift = 1e-14 * scale
     for _ in range(8):
-        band[-1] = diag + shift
-        factor, info = dpbtrf(band)
+        np.copyto(factor, band)
+        factor[-1] += shift
+        factor, info = dpbtrf(factor, overwrite_ab=1)
         if info == 0:
             return factor
         if info < 0:
@@ -317,8 +340,8 @@ def _solve_spd(factor, rhs):
 def _newton_loop(problem, x, tol, max_newton, best_effort, label):
     """Damped Newton on a stage or tethered problem.
 
-    The problem supplies the objective, its gradient, the banded Newton matrix
-    and the stopping residual; the loop keeps its scale at the running peak
+    The problem supplies the objective, its gradient, the factored Newton
+    matrix and the stopping residual; the loop keeps its scale at the running peak
     cost.  Steps are damped by Armijo backtracking.  Once the predicted
     decrease ARMIJO_C1 |slope| is below the objective's roundoff,
     OBJ_ROUNDOFF p |obj|, the Armijo test compares noise: the full step is
@@ -366,7 +389,7 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label):
                 )
             prev_res = res
 
-            step = _solve_spd(_factor_spd(problem.newton_band(state)), -state.grad)
+            step = _solve_spd(problem.newton_factor(state), -state.grad)
             if step @ state.grad >= 0.0:
                 step = -step if step @ state.grad > 0.0 else -state.grad
 

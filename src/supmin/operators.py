@@ -13,8 +13,9 @@ measured there, which is what makes the clamped first-derivative data
 binding for sup-norm energies.  The free unknowns remain the nodes at
 distance >= 2.  Assembly writes the free-column and clamped-column CSR parts
 straight from the stencil weights, summed per lattice shift; a mixed term
-whose constant coefficients vanish is left out, so no explicit zeros are
-stored for it.
+whose constant coefficients vanish is left out, and a summed weight that is
+exactly zero (cross terms that cancel) is not stored, so neither part holds
+explicit zeros.
 
 L_h u has one evaluation, DiscreteOperator.apply_dofs (free columns times the
 free dofs plus the clamped band's part); apply_operator and the Newton stages
@@ -99,7 +100,7 @@ class DiscreteOperator:
 
     @functools.cached_property
     def hessian_pattern(self):
-        """Band scatter pattern of L^T D L, built on first use and kept on the operator."""
+        """Product map of L^T D L into band storage, built on first use and kept on the operator."""
         return _hessian_pattern(self.free_matrix, self.n_components)
 
 
@@ -114,57 +115,61 @@ def _csr_matvec(mat, x):
 
 @dataclass(frozen=True)
 class HessianPattern:
-    """Where the nodal products of L^T D L land in upper band storage.
+    """Product map from the nodal blocks D_e to the upper band of L^T D L.
 
-    The N rows of equation node e touch K free columns (fewer are padded with
-    zero rows); coeffs[e] holds their (K, N) free_matrix entries, so the node
-    contributes coeffs[e] @ D_e @ coeffs[e].T to the Hessian.  band_index maps
-    each entry (e, k, l) of those (n_eq, K, K) products to its flat position
-    in the (bandwidth + 1, n_dofs) upper band, band[bandwidth + i - j, j] =
-    H[i, j], stored column-major (Fortran order, the layout LAPACK reads):
-    H[i, j] sits at flat index j * (bandwidth + 1) + bandwidth + i - j.
-    Lower-triangle and padding pairs go to the trash slot
-    (bandwidth + 1) * n_dofs just past the band.
+    H = L^T D L has H[i, j] = sum_e sum_{a,b} L[eN + a, i] D_e[a, b] L[eN + b, j],
+    so each upper entry (i <= j) is a fixed linear form in the blocks.  The
+    CSR matrix products holds those forms: its row r sums the products
+    L[eN + a, i] * L[eN + b, j] of the nonzero free_matrix coefficients that
+    land on the r-th stored band entry, against column e*N*N + a*N + b of the
+    flat (n_eq, N, N) blocks, so products @ blocks.ravel() is every stored
+    entry at once.  band_pos[r] is where that entry sits in the flat
+    column-major (Fortran-order) upper band of shape (bandwidth + 1, n_dofs),
+    the layout LAPACK reads: H[i, j] = band[bandwidth + i - j, j] at flat index
+    j * (bandwidth + 1) + bandwidth + i - j.  The stored entries are the
+    structurally nonzero ones plus the whole diagonal, in ascending band_pos;
+    every other band entry is zero whatever the blocks are.
     """
 
-    coeffs: np.ndarray      # (n_eq, K, N)
-    band_index: np.ndarray  # (n_eq * K * K,)
+    products: object        # CSR, (n_stored, n_eq * N * N)
+    band_pos: np.ndarray    # (n_stored,) flat Fortran-order band positions, ascending
     bandwidth: int
     n_dofs: int
 
 
 def _hessian_pattern(free_matrix, n_comp):
-    """Build the HessianPattern of a free-column matrix, dropping explicit zeros."""
-    mat = free_matrix.tocoo()
-    keep = mat.data != 0.0
-    rows, cols, vals = mat.row[keep], mat.col[keep], mat.data[keep]
-    n_eq = mat.shape[0] // n_comp
-    n_dofs = mat.shape[1]
-    # distinct (node, column) pairs, node-major with ascending columns
-    keys, slot = np.unique(
-        (rows // n_comp).astype(np.int64) * n_dofs + cols, return_inverse=True
-    )
-    node, col = np.divmod(keys, n_dofs)
-    counts = np.bincount(node, minlength=n_eq)
-    first = np.cumsum(counts) - counts
-    pos = np.arange(keys.size) - first[node]
-    k = int(counts.max(initial=0))
-    coeffs = np.zeros((n_eq, k, n_comp))
-    coeffs[node[slot], pos[slot], rows % n_comp] = vals
-    used = counts > 0
-    last = first + counts - 1
-    bw = int(np.max(col[last[used]] - col[first[used]], initial=0))
-
-    col_of = np.full((n_eq, k), -1, dtype=np.int64)
-    col_of[node, pos] = col
-    ci = col_of[:, :, None]
-    cj = col_of[:, None, :]
-    band_index = np.where(
-        (ci >= 0) & (ci <= cj), cj * (bw + 1) + (bw + ci - cj), (bw + 1) * n_dofs
-    )
-    return HessianPattern(
-        coeffs=coeffs, band_index=band_index.ravel(), bandwidth=bw, n_dofs=n_dofs
-    )
+    """Build the HessianPattern of a free-column matrix from its stored coefficients."""
+    mat = free_matrix.tocsr()
+    n_rows, n_dofs = mat.shape
+    # entries come row-major, so the entries of each node are contiguous
+    row = np.repeat(np.arange(n_rows), np.diff(mat.indptr))
+    col, val = mat.indices.astype(np.int64), mat.data
+    node = row // n_comp
+    per_node = np.bincount(node, minlength=n_rows // n_comp)
+    # every ordered pair (s, t) of entries of one node, node-major, then s, then t
+    reps = per_node[node]
+    s = np.repeat(np.arange(row.size), reps)
+    t = np.arange(s.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    t += np.repeat((np.cumsum(per_node) - per_node)[node], reps)
+    upper = col[s] <= col[t]
+    s, t = s[upper], t[upper]
+    ci, cj = col[s], col[t]
+    bw = int(np.max(cj - ci, initial=0))
+    pos = cj * (bw + 1) + bw + ci - cj
+    stored = np.zeros((n_dofs, bw + 1), dtype=bool)  # the band's transpose, row-major
+    stored[:, bw] = True
+    stored.flat[pos] = True
+    band_pos = np.flatnonzero(stored)
+    out_row = np.empty(stored.size, dtype=np.int64)
+    out_row[band_pos] = np.arange(band_pos.size)
+    # (e, a, b) -> e*N*N + a*N + b; the CSR conversion keeps the pairs' order,
+    # so each row sums its products by ascending block column
+    block_col = row[s] * n_comp + row[t] % n_comp
+    products = sp.coo_matrix(
+        (val[s] * val[t], (out_row[pos], block_col)),
+        shape=(band_pos.size, n_rows * n_comp),
+    ).tocsr()
+    return HessianPattern(products=products, band_pos=band_pos, bandwidth=bw, n_dofs=n_dofs)
 
 
 def assemble_operator(grid, tensor):
@@ -230,7 +235,7 @@ def assemble_operator(grid, tensor):
     pos = np.empty(grid.n_nodes, dtype=np.int64)  # position in the free or the clamped part
     pos[interior_idx] = np.arange(interior_idx.size)
     pos[clamp_idx] = np.arange(clamp_idx.size)
-    # one row per (e, i), made contiguous so the masked reads below run fast
+    # one row per (e, i), made contiguous so the flat reads below run fast
     shape = (n_rows, len(shifts) * n_comp)
     cols = np.broadcast_to(
         (pos[col_nodes] * n_comp)[:, None, :, None] + np.arange(n_comp), vals.shape
@@ -239,11 +244,17 @@ def assemble_operator(grid, tensor):
     vals = vals.reshape(shape)
 
     def csr_part(keep, n_nodes):
-        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-        return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n_rows, n_nodes * n_comp))
+        at = np.flatnonzero(keep)  # kept entries, row by row
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(at // shape[1], minlength=n_rows))))
+        return sp.csr_matrix((vals.ravel()[at], cols.ravel()[at], indptr),
+                             shape=(n_rows, n_nodes * n_comp))
 
-    free_matrix = csr_part(is_free, interior_idx.size)
-    clamp_matrix = csr_part(~is_free, clamp_idx.size)
+    # cross terms that cancel (the det part of det_coupled) sum to exact zeros
+    keep_clamp = vals != 0.0
+    keep_free = is_free & keep_clamp
+    keep_clamp ^= keep_free  # the nonzero entries in clamped columns
+    free_matrix = csr_part(keep_free, interior_idx.size)
+    clamp_matrix = csr_part(keep_clamp, clamp_idx.size)
     # row positions of the interior nodes inside the equation-node ordering
     sq = np.searchsorted(eq_idx, interior_idx)
     square_rows = (sq[:, None] * n_comp + np.arange(n_comp)).ravel()

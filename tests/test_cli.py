@@ -527,6 +527,30 @@ def test_sweep_worker_uses_one_blas_thread():
     assert openblas_threads() == before
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are Linux's")
+def test_fresh_run_reuses_its_newton_buffers(tmp_path):
+    # a first `supmin run` in a fresh interpreter touches little new memory per
+    # Newton step: the stage assembles and factors its band in two buffers
+    # (about 97,000 minor faults on this config when each step allocated both)
+    cfg = write(tmp_path, "det.cfg", "domain.dim = 2\ndomain.nodes = 31\nfield.components = 2\n"
+                "tensor.kind = det_coupled\ntensor.gamma = 1\nbc.kind = sinusoidal\n")
+    code = (
+        "import contextlib, io, resource, sys\n"
+        "from supmin.cli import main\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(supmin.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    status, faults = map(int, done.stdout.split())
+    assert status == 0
+    assert faults < 20000
+
+
 def test_boundary_file_round_trip(tmp_path):
     t = np.linspace(0.0, 1.0, 31)
     table = (2 * t**3 - 3 * t**2 + t).reshape(-1, 1)

@@ -41,6 +41,7 @@ from supmin.continuation import (
     _ratio_power,
     _solve_spd,
     _StageProblem,
+    _TetheredProblem,
     _zero_floor,
     cold_start,
 )
@@ -457,8 +458,8 @@ class _FlatProblem:
     def grad_state(self, x, lu, fv):
         return types.SimpleNamespace(lu=lu, fv=fv, grad=np.full(x.size, 1e-12))
 
-    def newton_band(self, state):
-        return np.ones((1, state.grad.size), order="F")
+    def newton_factor(self, state):
+        return np.ones((1, state.grad.size), order="F")  # the identity's factor
 
     def residual(self, state):
         return self.level
@@ -632,6 +633,11 @@ def _upper_band(dense, bw):
     return band
 
 
+def _factor(band):
+    """_factor_spd of band into a fresh buffer, every band entry counted as stored."""
+    return _factor_spd(band, np.empty(band.shape, order="F"), slice(None))
+
+
 @pytest.mark.parametrize("shape,n_comp,tensor,zero_nodes", [
     ((21,), 1, None, False),
     ((11, 11), 2, None, False),
@@ -663,7 +669,7 @@ def test_factor_spd_matches_dense_solve(shape, n_comp):
     shift = 1e-14 * np.max(np.abs(np.diag(dense)))
     rhs = np.random.default_rng(4).standard_normal(dense.shape[0])
     ref = np.linalg.solve(dense + shift * np.eye(dense.shape[0]), rhs)
-    step = _solve_spd(_factor_spd(problem.hessian_band(blocks)), rhs)
+    step = _solve_spd(_factor(problem.hessian_band(blocks)), rhs)
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -677,7 +683,7 @@ def test_factor_spd_matches_scipy_banded_cholesky(shape, n_comp):
     shifted[-1] += 1e-14 * np.max(np.abs(band[-1]))
     rhs = np.random.default_rng(8).standard_normal(band.shape[1])
     ref = cho_solve_banded((cholesky_banded(shifted), False), rhs)
-    step = _solve_spd(_factor_spd(band), rhs)
+    step = _solve_spd(_factor(band), rhs)
     assert np.array_equal(step, ref)
 
 
@@ -698,7 +704,7 @@ def factor_attempts(monkeypatch):
 def test_factor_spd_lifts_singular_hessian(factor_attempts):
     problem, blocks = _stage_hessian_problem((11, 11), 2, seed=5)
     blocks[::2] = 0.0
-    psd = problem.hessian_band(blocks)
+    psd = problem.hessian_band(blocks).copy()
     dense = _dense_hessian(problem.op, blocks)
     assert np.linalg.matrix_rank(dense) < dense.shape[0]
     # the same Hessian pushed below PSD by a roundoff-sized negative part
@@ -707,7 +713,7 @@ def test_factor_spd_lifts_singular_hessian(factor_attempts):
     rhs = np.random.default_rng(6).standard_normal(dense.shape[0])
     for band, min_attempts in ((psd, 1), (indefinite, 2)):
         factor_attempts.clear()
-        step = _solve_spd(_factor_spd(band), rhs)
+        step = _solve_spd(_factor(band), rhs)
         assert np.all(np.isfinite(step))
         assert step @ rhs > 0.0
         assert len(factor_attempts) >= min_attempts
@@ -717,17 +723,97 @@ def test_factor_spd_rejects_nonfinite_and_indefinite(factor_attempts):
     hess = np.eye(6)
     hess[2, 3] = hess[3, 2] = np.nan
     with pytest.raises(NoConvergence):
-        _factor_spd(_upper_band(hess, 1))
+        _factor(_upper_band(hess, 1))
     assert not factor_attempts
     with pytest.raises(NoConvergence, match="every regularization level"):
-        _factor_spd(_upper_band(-2.0 * np.eye(6), 0))
+        _factor(_upper_band(-2.0 * np.eye(6), 0))
     assert len(factor_attempts) == 8
 
 
 def test_factor_spd_raises_on_illegal_argument(monkeypatch):
-    monkeypatch.setattr(supmin.continuation, "dpbtrf", lambda band: (band, -1))
+    monkeypatch.setattr(supmin.continuation, "dpbtrf", lambda ab, overwrite_ab=0: (ab, -1))
     with pytest.raises(ValueError, match="argument 1"):
-        _factor_spd(np.ones((1, 4)))
+        _factor(np.ones((1, 4)))
+
+
+def test_stage_steps_reuse_the_band_and_factor_buffers(monkeypatch):
+    # every Newton step of a stage assembles into the stage's one band buffer
+    # and factors in place in its one factor buffer: no step allocates a band
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    calls = []
+    factor_spd = supmin.continuation._factor_spd
+
+    def recording(band, factor, stored):
+        out = factor_spd(band, factor, stored)
+        calls.append((band, factor, out))
+        return out
+
+    monkeypatch.setattr(supmin.continuation, "_factor_spd", recording)
+    minimize_power_energy(op, F, u0, 8.0)
+    assert len(calls) > 2
+    band0, factor0, _ = calls[0]
+    assert band0.flags.f_contiguous and factor0.flags.f_contiguous
+    assert not np.shares_memory(band0, factor0)
+    for band, factor, out in calls:
+        assert np.shares_memory(band, band0) and band.shape == band0.shape
+        assert np.shares_memory(factor, factor0) and np.shares_memory(out, factor0)
+
+
+def test_hessian_band_rebuilds_exactly_from_its_blocks():
+    # the buffer keeps no trace of earlier blocks: A, then B, then A again
+    # gives the first band bit for bit, zeros outside the stored entries
+    problem, blocks_a = _stage_hessian_problem((11, 11), 2, seed=9, tensor=det_coupled_tensor(1.0))
+    blocks_b = _stage_hessian_problem((11, 11), 2, seed=10)[1]
+    first = problem.hessian_band(blocks_a).copy()
+    assert not np.array_equal(problem.hessian_band(blocks_b), first)
+    np.testing.assert_array_equal(problem.hessian_band(blocks_a), first)
+    outside = np.ones(first.size, dtype=bool)
+    outside[problem.op.hessian_pattern.band_pos] = False
+    assert not np.any(first.T.reshape(-1)[outside])
+
+
+def test_tether_shift_does_not_accumulate():
+    # the tether adds 1/n_int to the diagonal once per assembly, not once per
+    # call on the same buffer; its band is the chained stage band plus that
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    target = minimize_power_energy(op, F, u0, 4.0).u
+    stage = _StageProblem(op, F, u0, 8.0)
+    tethered = _TetheredProblem(op, F, u0, 8.0, target)
+    x = op.interior_dofs(target)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for problem in (stage, tethered):
+            lu, fv = problem.evaluate(x)
+            problem.scale = float(fv.max())
+        state = tethered.grad_state(x, lu, fv)
+        first = tethered.newton_band(state).copy()
+        np.testing.assert_array_equal(tethered.newton_band(state), first)
+        want = tethered._chain(fv) * stage.newton_band(stage.grad_state(x, lu, fv))
+    want[-1] += 1.0 / op.n_interior
+    np.testing.assert_allclose(first, want, rtol=1e-13, atol=0.0)
+
+
+def test_nonfinite_newton_system_raises_before_factoring(factor_attempts):
+    # a NaN nodal block, or a tethered chain factor that is not finite, makes
+    # stored band entries non-finite; no banded Cholesky is attempted on them
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    stage = _StageProblem(op, F, u0, 8.0)
+    tethered = _TetheredProblem(op, F, u0, 8.0, u0)
+    blocks = np.ones((op.n_eq, 1, 1))
+    for problem in (stage, tethered):
+        problem.newton_blocks = lambda state: blocks.copy()
+    state = types.SimpleNamespace(fv=None)
+    tethered._chain = lambda fv: 1.0
+    tethered.newton_factor(state)  # finite: factored, and the buffers exist
+    attempts = len(factor_attempts)
+    blocks[op.n_eq // 2] = np.nan
+    with pytest.raises(NoConvergence, match="non-finite"):
+        stage.newton_factor(state)
+    blocks[op.n_eq // 2] = 1.0
+    for chain in (np.inf, np.nan):
+        tethered._chain = lambda fv: chain
+        with pytest.raises(NoConvergence, match="non-finite"):
+            tethered.newton_factor(state)
+    assert len(factor_attempts) == attempts
 
 
 def test_solve_spd_raises_on_illegal_argument(monkeypatch):
@@ -786,9 +872,9 @@ def test_penalized_solve_stops_at_residual_floor(bang_bang_problem, monkeypatch)
     calls = []
     factor = supmin.continuation._factor_spd
 
-    def counting(band):
+    def counting(*args):
         calls.append(1)
-        return factor(band)
+        return factor(*args)
 
     monkeypatch.setattr(supmin.continuation, "_factor_spd", counting)
     for p in (16.0, 64.0, 256.0):
@@ -875,3 +961,44 @@ def test_theta_is_a_constant():
     for fn in (continuation_solve, supmin.verify.verify_system):
         assert "theta" not in inspect.signature(fn).parameters
     assert supmin.verify.THETA == 0.1
+
+
+def test_small_positive_minimum_above_the_zero_floor_is_solved():
+    # the zero floor is c (1e-13 |L_h| max|clamp|)^2: a clamp whose minimal sup
+    # cost lies a thousandfold above it, and a thousandfold below the floor
+    # with 1e-10 in place of 1e-13, is solved, not taken for zero energy.  The
+    # large values sit on the four corners, which no 5-point stencil reads, so
+    # they raise max|clamp| without adding roundoff to L_h u
+    m = 11
+    grid = Grid((m, m))
+    op, F = assemble_operator(grid, identity_tensor(2, 1)), WeightedPowerNorm(1, q=2.0)
+    xy = grid.coords()
+    clamp = (np.sin(np.pi * xy[:, 0]) * np.cos(np.pi * xy[:, 1]) + xy[:, 0] * xy[:, 1])[:, None]
+    plain = continuation_solve(op, F, clamp, verify=False)
+    lp_sq = lp_min_max_abs(op, clamp) ** 2
+    # corner values that put the floor at lp_sq / 1e3
+    corner = np.sqrt(lp_sq / (1e3 * F.c)) / (1e-13 * op.operator_scale())
+    clamp[[0, m - 1, m * (m - 1), m * m - 1]] = corner
+    assert _zero_floor(op, F, clamp) == pytest.approx(lp_sq / 1e3, rel=1e-12)
+    rep = continuation_solve(op, F, clamp, verify=False)
+    assert not rep.degenerate
+    assert rep.bracket[0] <= lp_sq <= rep.bracket[1]
+    assert rep.bracket == plain.bracket
+
+
+@pytest.mark.parametrize("bump", [0.05, 1.0])
+def test_stage_far_from_its_minimizer_reports_no_wrong_minimum(bump):
+    # a start whose peak cost is 10^2-10^4 times the stage minimum: the loop
+    # keeps its objective scaled to the falling peak, else the weights
+    # (F/m)^(p-1) underflow to zero and a zero residual ends the stage far from
+    # its minimizer; failing to converge is allowed, a wrong minimum is not
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    warm = continuation_solve(op, F, u0, p_max=64.0, verify=False).u
+    ref = minimize_power_energy(op, F, u0, 64.0, warm_start=warm)
+    start = ref.u.copy()
+    start[20] += bump
+    try:
+        res = minimize_power_energy(op, F, u0, 64.0, warm_start=start)
+    except NoConvergence:
+        return
+    assert res.energy == pytest.approx(ref.energy, rel=1e-9)

@@ -21,6 +21,7 @@ from supmin import (
     identity_tensor,
     pcg,
 )
+from supmin.operators import _csr_matvec
 from supmin.tensors import EllipticTensor
 
 
@@ -308,6 +309,22 @@ def test_operator_without_cross_terms_stores_no_zeros():
     assert (op.free_matrix.nnz, op.clamp_matrix.nnz) == (123245, 3160)
     assert np.all(op.free_matrix.data != 0.0) and np.all(op.clamp_matrix.data != 0.0)
     assert peak < 12e6
+
+
+def test_cancelling_cross_terms_store_no_zeros():
+    # the (a, b) and (b, a) cross terms of det_coupled's null-Lagrangian part
+    # cancel exactly; those sums are not stored, and a mat-vec on either part
+    # gives the same bits as on the COO parts, which keep the zeros
+    grid, tensor = Grid((31, 31)), det_coupled_tensor(1.0)
+    op = assemble_operator(grid, tensor)
+    assert (op.free_matrix.nnz, op.clamp_matrix.nnz) == (7290, 1120)
+    rng = np.random.default_rng(3)
+    for got, want, want_nnz in zip((op.free_matrix, op.clamp_matrix),
+                                   coo_reference_parts(grid, tensor), (26244, 4032)):
+        assert np.all(got.data != 0.0) and want.nnz == want_nnz
+        for _ in range(3):
+            x = rng.standard_normal(got.shape[1])
+            assert np.array_equal(_csr_matvec(got, x), _csr_matvec(want, x))
 
 
 def test_small_grid_rejected():

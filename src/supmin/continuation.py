@@ -33,7 +33,8 @@ each Newton loop returns the (L_h u, F) pair of its field for its callers to reu
 A stage stops by one of two rules.  The stage that ends the run (the last
 scheduled exponent, or the first whose bracket is narrower than
 bracket_stop) is driven until its residual drops below newton_tol or reaches
-its floating-point floor.  An intermediate stage, whose own bracket is still
+its floating-point floor, and so is the cold start (the exponent-1 stage from
+the clamp) with NEWTON_TOL.  An intermediate stage, whose own bracket is still
 open, only warm-starts the next exponent: it stops once a full Newton step
 moves its power mean by at most ENERGY_RTOL relative.  Once the predicted
 decrease of a step is below the objective's roundoff, the full step is judged
@@ -50,12 +51,13 @@ from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench/tracer.py:
 
 from .errors import DegenerateEnergy, DimensionMismatch, LineSearchStall, NoConvergence
 from .operators import _csr_matvec, apply_operator, check_field
-from .verify import THETA, coefficient_of_variation, verify_system
+from .verify import active_set, coefficient_of_variation, verify_system
 
 log = logging.getLogger(__name__)
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
+MAX_NEWTON = 400   # steps after which a minimization short of its tol fails
 # residual up to which a minimization stuck at its floating-point floor is
 # accepted (and reported as stalled) instead of failing
 STALL_ACCEPT = 1e-6
@@ -337,18 +339,21 @@ def _solve_spd(factor, rhs):
     return x
 
 
-def _newton_loop(problem, x, tol, max_newton, best_effort, label):
+def _newton_loop(problem, x, tol, label):
     """Damped Newton on a stage or tethered problem.
 
     The problem supplies the objective, its gradient, the factored Newton
-    matrix and the stopping residual; the loop keeps its scale at the running peak
-    cost.  Steps are damped by Armijo backtracking.  Once the predicted
-    decrease ARMIJO_C1 |slope| is below the objective's roundoff,
+    matrix and the stopping residual; the loop keeps its scale at the running
+    peak cost, to within a factor exp(min(0.2, 128/p)), so that the weights
+    (F/m)^(p-1) at the peak node stay above exp(-128) instead of underflowing
+    to a zero residual.  Steps are damped by Armijo backtracking.  Once the
+    predicted decrease ARMIJO_C1 |slope| is below the objective's roundoff,
     OBJ_ROUNDOFF p |obj|, the Armijo test compares noise: the full step is
     then kept iff it lowers the residual (the pure Newton phase), and
     backtracking resumes from t = 1/2 otherwise, because a full step that
     raises the residual may be too long rather than at the floor.  Two rules
-    end the loop:
+    end the loop within MAX_NEWTON steps (past them, a residual still above
+    STALL_ACCEPT is NoConvergence):
 
     - the residual drops below tol, or reaches its floor (accepted as stalled
       up to STALL_ACCEPT, else NoConvergence or LineSearchStall);
@@ -373,7 +378,7 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label):
         prev_res = None
         obj_gain = np.inf
         strikes = 0
-        for iters in range(1, max_newton + 1):
+        for iters in range(1, MAX_NEWTON + 1):
             if res <= tol:
                 return x, iters - 1, res, False, state.lu, state.fv
             # floating-point floor: residual flat AND objective no longer moving
@@ -427,7 +432,7 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label):
             peak_now = float(fv.max())
             if peak_now <= problem.zero_floor:
                 return x, iters, 0.0, False, lu, fv
-            rescaled = abs(np.log(peak_now) - np.log(problem.scale)) > 0.2
+            rescaled = abs(np.log(peak_now) - np.log(problem.scale)) > min(0.2, 128.0 / problem.p)
             if rescaled:
                 problem.scale = peak_now
                 obj_try = problem.objective(x, fv)
@@ -440,10 +445,10 @@ def _newton_loop(problem, x, tol, max_newton, best_effort, label):
                 return x, iters, res, False, lu, fv
 
         # state is the evaluation of x: a rejected trial's lu and fv are not
-        if stalled or best_effort or res <= STALL_ACCEPT:
+        if stalled or res <= STALL_ACCEPT:
             return x, iters, res, stalled or res > tol, state.lu, state.fv
         raise NoConvergence(
-            f"{label}: residual {res:.3e} above {tol:.1e} after {max_newton} iterations"
+            f"{label}: residual {res:.3e} above {tol:.1e} after {MAX_NEWTON} iterations"
         )
 
 
@@ -454,8 +459,6 @@ def minimize_power_energy(
     p,
     warm_start=None,
     tol=NEWTON_TOL,
-    max_newton=400,
-    best_effort=False,
     bracket_stop=None,
 ):
     """Minimize the exponent-p power-mean energy over the clamped affine space.
@@ -477,7 +480,7 @@ def minimize_power_energy(
     u0 = clamp if warm_start is None else np.asarray(warm_start, dtype=np.float64)
     problem = _StageProblem(op, supremand, clamp, p, bracket_stop)
     x, iters, grad_rel, stalled, lu, fv = _newton_loop(
-        problem, op.interior_dofs(u0), tol, max_newton, best_effort, label=f"stage p={p:g}"
+        problem, op.interior_dofs(u0), tol, label=f"stage p={p:g}"
     )
     with np.errstate(divide="ignore"):
         energy = _power_mean(fv, p)
@@ -540,15 +543,14 @@ class SolveReport:
 
 
 def cold_start(op, supremand, clamp):
-    """Start field: one damped Newton pass on the exponent-1 objective.
+    """Start field: the exponent-1 stage from the clamp, the mean-cost minimizer.
 
-    For quadratic costs this single pass is the exact mean-cost minimizer;
-    convexity makes the continuation limit independent of the start either way.
-    Returns the pass's StageResult, with the start field's L_h u and costs.
+    It is an ordinary stage, run to NEWTON_TOL under the same stop rules as
+    every other (for quadratic costs one Newton step reaches it); convexity
+    makes the continuation limit independent of the start either way.
+    Returns the stage's StageResult, with its field's L_h u and costs.
     """
-    return minimize_power_energy(
-        op, supremand, clamp, p=1.0, warm_start=clamp, max_newton=1, best_effort=True
-    )
+    return minimize_power_energy(op, supremand, clamp, 1.0)
 
 
 def continuation_solve(
@@ -559,7 +561,6 @@ def continuation_solve(
     newton_tol=NEWTON_TOL,
     bracket_stop=BRACKET_STOP,
     initial=None,
-    verify=True,
 ):
     """March geometric_schedule(p_max) with warm starts and bracket the limit value.
 
@@ -568,8 +569,8 @@ def continuation_solve(
     bracket_stop that is not positive and finite, is a ValueError.
 
     Returns a SolveReport with the per-stage trace, the final field with its
-    L_h u, costs and dual field, the bracket midpoint estimate, and (optionally)
-    the residual report of the limiting optimality system.  A start or stage
+    L_h u, costs and dual field, the bracket midpoint estimate, and as verify
+    the verify_system report on the limiting optimality system.  A start or stage
     field with peak cost at or below _zero_floor solves L_h u = 0, so it is the
     unique minimizer and is returned (zero-energy branch, bracket (0, peak)).
     The cost, the operator, the clamp and initial must agree on the number of
@@ -604,12 +605,9 @@ def continuation_solve(
         if degenerate:
             cv_row = 0.0  # the costs are roundoff: no level to be constant at
         else:
-            # cost constancy measured on the nodes carrying the dual field,
-            # matching the verifier's active-set convention
+            # cost constancy on the nodes carrying the dual field, as the verifier reads it
             f = _dual(op, supremand, lu, fv, p, res.energy)
-            mag = np.linalg.norm(f, axis=1)
-            active = mag > THETA * mag.max() if mag.max() > 0 else slice(None)
-            cv_row = coefficient_of_variation(fv[active])
+            cv_row = coefficient_of_variation(fv[active_set(f)[1]])
         row = StageRow(
             p=p,
             energy=res.energy,
@@ -640,8 +638,7 @@ def continuation_solve(
     report = SolveReport(
         rows=rows, u=u, f=f, e_inf=e_inf, bracket=bracket, degenerate=degenerate, lu=lu, fv=fv
     )
-    if verify:
-        report.verify = verify_system(op, supremand, u, f, e_inf)
+    report.verify = verify_system(op, supremand, u, f, e_inf)
     return report
 
 
@@ -656,6 +653,5 @@ def penalized_solve(op, supremand, clamp, p, target):
     clamp = np.asarray(clamp, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     problem = _TetheredProblem(op, supremand, clamp, p, target)
-    x, *_ = _newton_loop(problem, op.interior_dofs(target), tol=1e-10, max_newton=400,
-                         best_effort=False, label=f"penalized p={p:g}")
+    x, *_ = _newton_loop(problem, op.interior_dofs(target), tol=1e-10, label=f"penalized p={p:g}")
     return op.with_interior_dofs(clamp, x)

@@ -23,6 +23,12 @@ from .supremand import duality_map_field
 THETA = 0.1
 
 
+def active_set(f):
+    """(|f| per node, mask of the nodes carrying f: |f| > THETA max|f|, none if f = 0)."""
+    mag = np.linalg.norm(f, axis=1)
+    return mag, mag > THETA * (float(mag.max()) if mag.size else 0.0)
+
+
 def coefficient_of_variation(values):
     """std / mean of a nonnegative sample; zero for an (effectively) zero mean."""
     mean = float(np.mean(values)) if len(values) else 0.0
@@ -63,24 +69,15 @@ def verify_system(op, supremand, u, f, e_hat):
     if e_hat < 0:
         raise ValueError("e_hat must be nonnegative")
     f = np.asarray(f, dtype=np.float64)
-    mag = np.linalg.norm(f, axis=1)
-    peak = float(mag.max()) if mag.size else 0.0
-    if peak == 0.0:
+    mag, active = active_set(f)
+    if not mag.any():
         if e_hat > 0.0:
-            raise DegenerateField(
-                f"dual field vanishes identically but e_hat={e_hat:.3e} > 0"
-            )
-        return VerifyReport(
-            r_system=0.0,
-            r_harmonic=0.0,
-            cv_F=0.0,
-            active_fraction=0.0,
-            zero_set_fraction=1.0,
-        )
+            raise DegenerateField(f"dual field vanishes identically but e_hat={e_hat:.3e} > 0")
+        return VerifyReport(r_system=0.0, r_harmonic=0.0, cv_F=0.0, active_fraction=0.0,
+                            zero_set_fraction=1.0)
 
     lu = apply_operator(op, u)
     coords = op.eq_coords()
-    active = mag > THETA * peak
     cv = coefficient_of_variation(supremand.eval_field(coords, lu)[active])
     phi = duality_map_field(supremand, coords, lu)
     directions = f[active] / mag[active, None]
@@ -106,11 +103,14 @@ def uniqueness_check(op, supremand, clamp, start_a=None, start_b=None, **solve_k
 
     A strictly convex stage structure should make the limit start-independent;
     the distance quantifies how well the numerics realize that uniqueness.
+    None is the cold start; two cold starts are one run, so both None is a ValueError.
     """
     from .continuation import continuation_solve
 
-    rep_a = continuation_solve(op, supremand, clamp, initial=start_a, verify=False, **solve_kwargs)
-    rep_b = continuation_solve(op, supremand, clamp, initial=start_b, verify=False, **solve_kwargs)
+    if start_a is None and start_b is None:
+        raise ValueError("uniqueness_check needs at least one start besides the cold start")
+    rep_a = continuation_solve(op, supremand, clamp, initial=start_a, **solve_kwargs)
+    rep_b = continuation_solve(op, supremand, clamp, initial=start_b, **solve_kwargs)
     return float(np.max(np.abs(rep_a.u - rep_b.u)))
 
 
@@ -128,7 +128,7 @@ def absolute_min_check(op, supremand, u, start, stop):
     sub_op = assemble_operator(grid, op.tensor)
     clamp = check_field(u, op.grid.n_nodes, op.n_components, name="u")[ids]
     peak = float(np.max(supremand.eval_field(sub_op.eq_coords(), apply_operator(sub_op, clamp))))
-    return peak, continuation_solve(sub_op, supremand, clamp, verify=False).bracket
+    return peak, continuation_solve(sub_op, supremand, clamp).bracket
 
 
 def rescaling_invariance_check(op, supremand, clamp, factor, **solve_kwargs):
@@ -141,8 +141,8 @@ def rescaling_invariance_check(op, supremand, clamp, factor, **solve_kwargs):
 
     if not factor > 0:
         raise ValueError("factor must be positive")
-    rep_1 = continuation_solve(op, supremand, clamp, verify=False, **solve_kwargs)
-    rep_2 = continuation_solve(op, supremand.scaled(factor), clamp, verify=False, **solve_kwargs)
+    rep_1 = continuation_solve(op, supremand, clamp, **solve_kwargs)
+    rep_2 = continuation_solve(op, supremand.scaled(factor), clamp, **solve_kwargs)
     distance = float(np.max(np.abs(rep_1.u - rep_2.u)))
     if rep_1.e_inf == 0.0:
         ratio = float("nan") if rep_2.e_inf == 0.0 else float("inf")

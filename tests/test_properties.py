@@ -50,8 +50,7 @@ def _solve(shape, matrix, coeffs, k, transpose=False):
         matrix = matrix[::-1, ::-1]
     op = assemble_operator(grid, constant_tensor(matrix.reshape(2, 2, 1, 1)))
     clamp = np.ascontiguousarray(data.reshape(-1, 1))
-    return op, clamp, continuation_solve(op, WeightedPowerNorm(1), clamp, p_max=P_MAX,
-                                         verify=False)
+    return op, clamp, continuation_solve(op, WeightedPowerNorm(1), clamp, p_max=P_MAX)
 
 
 @CASES

@@ -7,10 +7,14 @@ from supmin import (
     ClampedBC1D,
     CustomSupremand,
     DegenerateField,
+    Grid,
+    WeightedPowerNorm,
     absolute_min_check,
+    assemble_operator,
     apply_operator,
     coefficient_of_variation,
     continuation_solve,
+    det_coupled_tensor,
     minimize_power_energy,
     rescaling_invariance_check,
     sample_solution,
@@ -18,6 +22,7 @@ from supmin import (
     uniqueness_check,
     verify_system,
 )
+from supmin.verify import active_set
 
 
 def sampled_bang_bang_pair(op):
@@ -55,6 +60,20 @@ def test_perturbation_raises_residuals(bang_bang_problem):
     dirty = verify_system(op, F, bumped, f, e_hat)
     assert dirty.r_system >= 10.0 * clean.r_system
     assert dirty.cv_F >= 10.0 * clean.cv_F
+
+
+def test_last_stage_cv_is_the_verifier_cv_F():
+    # the stage rows and the verifier read cost constancy on one active set
+    grid = Grid((13, 13))
+    op = assemble_operator(grid, det_coupled_tensor(1.0))
+    xy = grid.coords()
+    clamp = np.column_stack([np.sin(np.pi * xy[:, 0]) * np.cos(np.pi * xy[:, 1]), xy[:, 0] * xy[:, 1]])
+    rep = continuation_solve(op, WeightedPowerNorm(2), clamp, p_max=64.0)
+    assert not rep.degenerate
+    assert rep.rows[-1].cv == rep.verify.cv_F
+    mag, active = active_set(rep.f)
+    assert np.array_equal(active, mag > 0.1 * mag.max())
+    assert rep.verify.active_fraction == pytest.approx(np.mean(active))
 
 
 def test_zero_energy_branch_is_vacuous():
@@ -95,6 +114,13 @@ def test_uniqueness_affine_data():
     assert uniqueness_check(op, F, u0, start_b=start_b) <= 1e-8
 
 
+def test_uniqueness_needs_a_start_besides_the_cold_start():
+    # two cold-start runs are one run: their distance is 0 by construction
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    with pytest.raises(ValueError, match="cold start"):
+        uniqueness_check(op, F, u0)
+
+
 def test_uniqueness_bang_bang(bang_bang_problem):
     grid, op, F, u0 = bang_bang_problem
     rng = np.random.default_rng(1)
@@ -126,7 +152,7 @@ def test_absolute_min_check_passes_sup_and_fails_p2_minimizer(bang_bang_problem,
     # fields sharing its two outer sub-box layers; the p = 2 minimizer does not
     _, op_1d, F_1d, u0_1d = bang_bang_problem
     _, op_2d, F_2d, u0_2d, report_2d, _ = smoke_2d_run
-    sup_1d = continuation_solve(op_1d, F_1d, u0_1d, verify=False).u
+    sup_1d = continuation_solve(op_1d, F_1d, u0_1d).u
     cases = [
         (op_1d, F_1d, u0_1d, sup_1d, [((40,), (120,)), ((10,), (60,))]),
         (op_2d, F_2d, u0_2d, report_2d.u, [((5, 5), (26, 26)), ((15, 10), (36, 31))]),

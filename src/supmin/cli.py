@@ -99,7 +99,7 @@ def _check_report(cfg, report):
     except AssertionError as exc:
         raise VerificationFailure(str(exc)) from exc
     v = report.verify
-    if v is None or report.degenerate:
+    if report.degenerate:
         return
     if report.e_inf > 0 and v.r_system > cfg.r_system_frac * report.e_inf:
         raise VerificationFailure(
@@ -130,9 +130,8 @@ def _write_report(out_dir, cfg, report, oracle_row):
     lines.append(f"e_inf_estimate = {_fmt(report.e_inf)}")
     lines.append(f"bracket_low = {_fmt(report.bracket[0])}")
     lines.append(f"bracket_high = {_fmt(report.bracket[1])}")
-    if report.verify is not None:
-        for key, value in report.verify.as_dict().items():
-            lines.append(f"verify.{key} = {_fmt(value)}")
+    for key, value in report.verify.as_dict().items():
+        lines.append(f"verify.{key} = {_fmt(value)}")
     if oracle_row is not None:
         lines += ["oracle." + line for line in _oracle_text(*oracle_row).splitlines()]
     _write_text(out_dir, "report.txt", "\n".join(lines) + "\n")

@@ -373,8 +373,6 @@ def _newton_loop(problem, x, tol, label):
         state = problem.grad_state(x, lu, fv)
         obj = problem.objective(x, fv)
         res = problem.residual(state)
-        stalled = False
-        iters = 0
         prev_res = None
         obj_gain = np.inf
         strikes = 0
@@ -386,12 +384,10 @@ def _newton_loop(problem, x, tol, label):
             flat_obj = obj_gain <= 1e-14 * max(abs(obj), 1e-300)
             strikes = strikes + 1 if (flat_res and flat_obj) else 0
             if strikes >= 4:
-                if res <= STALL_ACCEPT:
-                    stalled = True
-                    break
-                raise NoConvergence(
+                failure = NoConvergence(
                     f"{label}: residual stagnated at {res:.3e} (target {tol:.1e})"
                 )
+                break
             prev_res = res
 
             step = _solve_spd(problem.newton_factor(state), -state.grad)
@@ -417,13 +413,11 @@ def _newton_loop(problem, x, tol, label):
                 trial = None
                 t *= 0.5
             else:
-                if res <= STALL_ACCEPT:
-                    stalled = True
-                    break
-                raise LineSearchStall(
+                failure = LineSearchStall(
                     f"{label}: no decrease after {MAX_BACKTRACKS} halvings "
                     f"(residual {res:.3e})"
                 )
+                break
 
             # keep the objective scaled to the current peak: the residual is
             # scale-invariant, so rescaling costs nothing but keeps the scaled
@@ -443,13 +437,15 @@ def _newton_loop(problem, x, tol, label):
             res = problem.residual(state)
             if t == 1.0 and not rescaled and problem.settled(obj_gain, obj, fv):
                 return x, iters, res, False, lu, fv
+        else:
+            failure = NoConvergence(
+                f"{label}: residual {res:.3e} above {tol:.1e} after {MAX_NEWTON} iterations"
+            )
 
         # state is the evaluation of x: a rejected trial's lu and fv are not
-        if stalled or res <= STALL_ACCEPT:
-            return x, iters, res, stalled or res > tol, state.lu, state.fv
-        raise NoConvergence(
-            f"{label}: residual {res:.3e} above {tol:.1e} after {MAX_NEWTON} iterations"
-        )
+        if res > STALL_ACCEPT:
+            raise failure
+        return x, iters, res, res > tol, state.lu, state.fv
 
 
 def minimize_power_energy(

@@ -2,17 +2,21 @@
 
 The map sending xi to F(x, xi) * F_xi / |F_xi| pairs each cost level with the
 direction of steepest increase; the optimality-system verifier evaluates it
-(duality_map_field) on the stage field, and its inverse (duality_map_inverse)
-recovers xi from a target vector.  Costs must vanish at
-the origin, be strictly convex in xi, and obey two-sided quadratic growth
-with a declared constant c:  F >= |xi|^2 / c  and  |F_xi| <= c |xi|.
+(duality_map_field) on the stage field; its inverse (duality_map_inverse) finds
+the support point of a sublevel set of F by convex minimization and stops on the
+round-trip residual.  Costs must vanish at the origin, be strictly convex in xi,
+and obey two-sided quadratic growth with a declared constant c:
+F >= |xi|^2 / c  and  |F_xi| <= c |xi|.
 """
+
+import math
 
 import numpy as np
 
 from .errors import GrowthViolation, NoConvergence, SingularHessian
 
 ZERO_RADIUS = 1e-14  # below this, the gradient-ray map is pinned to 0
+OBJ_ROUNDOFF = 64.0 * np.finfo(np.float64).eps  # of F - target . xi, relative to its terms
 
 
 class Supremand:
@@ -304,88 +308,88 @@ def duality_map_jacobian_det(supremand, x, xi):
     return float(f ** (n - 1) / ng**n * det_h * (y @ g))
 
 
-def _newton_invert(supremand, x, eta, xi0, tol, max_iter=60):
-    """Damped Newton for duality_map(xi) = eta; returns (xi, converged).
+def _support_point(supremand, points, target, xi, tol, max_iter):
+    """Damped Newton from xi for the minimiser of the convex F(x, xi) - target . xi.
 
-    The target is relative to |eta| (tighter than the advertised
-    tol * max(1, |eta|)), so that round trips stay accurate for small inputs.
+    Armijo backtracking until the predicted decrease is below the objective's
+    roundoff; past it, a full step stays iff it lowers |F_xi - target|.  Ends at
+    |F_xi - target| <= tol, at the floor (no step accepted) or after max_iter
+    steps; returns (xi, F, F_xi) there.
     """
-    xi = np.array(xi0, dtype=np.float64)
-    target = tol * np.linalg.norm(eta)
-    res = duality_map(supremand, x, xi) - eta
-    res2 = res @ res
+
+    def state(xi):
+        gap = supremand.grad_field(points, xi[None])[0] - target
+        return float(supremand.eval_field(points, xi[None])[0]), gap, math.hypot(*gap)
+
+    f, gap, gap_norm = state(xi)
     for _ in range(max_iter):
-        if np.sqrt(res2) <= target:
-            return xi, True
-        try:
-            jac = duality_map_jacobian(supremand, x, xi)
-            step = np.linalg.solve(jac, -res)
-        except (np.linalg.LinAlgError, SingularHessian):
-            return xi, False
-        t = 1.0
-        improved = False
-        for _ in range(60):
-            trial = xi + t * step
-            r_try = duality_map(supremand, x, trial) - eta
-            r2_try = r_try @ r_try
-            if r2_try < res2:
-                xi, res, res2 = trial, r_try, r2_try
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            return xi, False
-    return xi, np.sqrt(res2) <= target
-
-
-def _ray_start(supremand, x, eta):
-    """Initial guess on the ray eta/|eta|: bisect the radius to the target level."""
-    n_eta = np.linalg.norm(eta)
-    d = eta / n_eta
-    hi = np.sqrt(supremand.c * n_eta) * (1.0 + 1e-12)
-    for _ in range(200):
-        if supremand.eval(x, hi * d) >= n_eta:
+        if gap_norm <= tol:
             break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if supremand.eval(x, mid * d) < n_eta:
-            lo = mid
+        hess = supremand.hess_field(points, xi[None])[0]
+        try:
+            step = np.linalg.solve(hess, -gap)
+        except np.linalg.LinAlgError:   # rank lost on a coordinate hyperplane
+            step = np.linalg.lstsq(hess, -gap, rcond=None)[0]
+        slope = gap @ step
+        obj = f - target @ xi
+        # F <= 0 away from the origin is all roundoff (a smoothed cost near 0)
+        at_roundoff = f <= 0.0 or 1e-4 * -slope <= OBJ_ROUNDOFF * (abs(f) + abs(target @ xi))
+        for halvings in range(60):
+            t = 0.5**halvings
+            trial = xi + t * step
+            f_try, gap_try, norm_try = state(trial)
+            if (norm_try < gap_norm if at_roundoff and halvings == 0
+                    else f_try - target @ trial <= obj + 1e-4 * t * slope):
+                break
         else:
-            hi = mid
-    return 0.5 * (lo + hi) * d
+            break
+        xi, f, gap, gap_norm = trial, f_try, gap_try, norm_try
+    return xi, f, gap + target
 
 
 def duality_map_inverse(supremand, x, eta, tol=1e-10, max_iter=60):
     """Invert the gradient-ray map: xi with |duality_map(xi) - eta| <= tol * max(1, |eta|).
 
-    Damped Newton from a radius-matched point on the ray of eta; if Newton
-    stalls, a homotopy in |eta| walks the target up from smaller magnitudes.
+    xi is the support point of {F <= |eta|} in the direction e = eta / |eta|:
+    the minimiser xi(s) of the convex F - s e . xi has F_xi = s e, and F(xi(s))
+    grows with s.  Each iteration solves for xi(s) from the previous xi scaled
+    by the change in s, then moves log s by half the gap log|eta| - log F(xi(s))
+    (exact for 2-homogeneous F), or bisects its bracket, which starts at the
+    growth bounds sqrt(|eta|/c) <= s <= c^1.5 sqrt(|eta|) widened by a factor e.
+    It stops once the round trip (map unpinned at the origin) is within
+    tol * |eta|; if roundoff bars that, the best iterate within the bound above
+    is returned, else NoConvergence.  max_iter bounds each loop's iterations.
     """
     eta = np.asarray(eta, dtype=np.float64)
-    if np.linalg.norm(eta) == 0.0:
+    level = math.hypot(*eta)   # |eta|, free of overflow
+    if not math.isfinite(level):
+        raise ValueError("eta must be finite")
+    if level == 0.0:
         return np.zeros_like(eta)
-    xi0 = _ray_start(supremand, x, eta)
-    xi, ok = _newton_invert(supremand, x, eta, xi0, tol, max_iter)
-    if ok:
-        return xi
-    # homotopy fallback: increase the target magnitude stepwise
-    tau, step = 0.0, 0.25
-    xi = _ray_start(supremand, x, 0.01 * eta)
-    while tau < 1.0:
-        tau_next = min(1.0, tau + step)
-        trial, ok = _newton_invert(supremand, x, tau_next * eta, xi, tol, max_iter)
-        if ok:
-            xi, tau = trial, tau_next
-            step = min(2.0 * step, 1.0 - tau if tau < 1.0 else step)
-        else:
-            step *= 0.5
-            if step < 1e-6:
-                raise NoConvergence(
-                    "gradient-ray inversion stalled; cost may violate strict convexity"
-                )
-    return xi
+    e, points = eta / level, _point_array(x)
+    log_level, log_c = np.log(level), np.log(supremand.c)
+    lo, hi = 0.5 * (log_level - log_c) - 1.0, 0.5 * log_level + 1.5 * log_c + 1.0
+    log_s, xi = 0.5 * (lo + hi), np.sqrt(level) * e
+    best, best_res = None, np.inf
+    for _ in range(max_iter):
+        s = np.exp(log_s)
+        xi, f, g = _support_point(supremand, points, s * e, xi, 1e-3 * tol * s, max_iter)
+        res = math.hypot(*(f * (g / max(math.hypot(*g), np.finfo(float).tiny)) - eta)) / level
+        if res < best_res:
+            best, best_res = xi, res
+        if res <= tol:
+            return xi
+        lo, hi = (log_s, hi) if f < level else (lo, log_s)
+        new = log_s + 0.5 * (log_level - np.log(f)) if f > 0.0 else np.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+            if not lo < new < hi:   # the bracket has closed
+                break
+        xi, log_s = xi * np.exp(new - log_s), new
+    if best_res <= tol * max(1.0, 1.0 / level):
+        return best
+    raise NoConvergence(f"gradient-ray inversion stalled at relative round trip {best_res:.3e}; "
+                        "cost may violate strict convexity or its growth constant")
 
 
 def check_growth(supremand, sample_count, radius, points=None, seed=0):

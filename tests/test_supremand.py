@@ -158,6 +158,72 @@ def test_inverse_composed_with_forward_is_identity_smooth_case():
         assert np.linalg.norm(back - xi) <= 1e-9 * np.linalg.norm(xi)
 
 
+def test_inverse_smoothed_near_linear_case_within_bound():
+    # strictly convex but nearly linear away from the origin, where Newton on
+    # the map's Jacobian does not converge
+    F = WeightedPowerNorm(2, q=1.2, eps=0.05)
+    eta = np.array([-3.321424021019513, -10.067599883617191])
+    xi = duality_map_inverse(F, None, eta)
+    assert np.linalg.norm(duality_map(F, None, xi) - eta) <= 1e-10 * np.linalg.norm(eta)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("q,eps", [(1.2, 0.05), (1.1, 0.01)])
+def test_inverse_round_trip_smoothed_near_linear(n, q, eps):
+    F = WeightedPowerNorm(n, q=q, eps=eps)
+    rng = np.random.default_rng(20)
+    for _ in range(100):
+        eta = rng.standard_normal(n) * np.exp(rng.uniform(-4, 4))
+        xi = duality_map_inverse(F, None, eta)
+        err = np.linalg.norm(duality_map(F, None, xi) - eta)
+        assert err <= 1e-10 * max(1.0, np.linalg.norm(eta))
+
+
+@pytest.mark.parametrize("q", [3.0, 4.0])
+def test_inverse_on_coordinate_axis(q):
+    # F_xixi is singular on the coordinate hyperplanes for q > 2, and there
+    # ||xi||_q^2 = xi_k^2, so the preimage of eta = t e_k is sign(t) sqrt|t| e_k
+    F = WeightedPowerNorm(2, q=q)
+    for eta, xi in (([2.0, 0.0], [np.sqrt(2.0), 0.0]), ([0.0, -5.0], [0.0, -np.sqrt(5.0)])):
+        np.testing.assert_allclose(duality_map_inverse(F, None, np.array(eta)), xi, rtol=1e-12)
+
+
+EXTREME_COSTS = [(2.0, 0.0), (3.0, 0.0), (1.5, 1e-3)]
+
+
+@pytest.mark.parametrize("magnitude", [1e-30, 1e-100])
+@pytest.mark.parametrize("q,eps", EXTREME_COSTS)
+def test_inverse_tiny_target(q, eps, magnitude):
+    # the map is pinned to 0 below ZERO_RADIUS, so a round trip relative to
+    # |eta| is out of reach here; the documented bound is not
+    F = WeightedPowerNorm(2, q=q, eps=eps)
+    eta = magnitude * np.array([0.6, -0.8])
+    xi = duality_map_inverse(F, None, eta)
+    assert np.isfinite(xi).all()
+    assert np.linalg.norm(duality_map(F, None, xi) - eta) <= 1e-10
+    if q == 2.0 and eps == 0.0:
+        exact = eta / np.sqrt(magnitude)
+        assert np.linalg.norm(xi - exact) <= 1e-9 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("q,eps", EXTREME_COSTS)
+def test_inverse_huge_target(q, eps):
+    # |eta|^2 overflows; the result must still be finite and round-trip
+    F = WeightedPowerNorm(2, q=q, eps=eps)
+    eta = 1e200 * np.array([0.6, -0.8])
+    xi = duality_map_inverse(F, None, eta)
+    assert np.isfinite(xi).all()
+    err = np.abs(duality_map(F, None, xi) / 1e200 - eta / 1e200).max()
+    assert err <= 1e-10
+    if q == 2.0:
+        np.testing.assert_allclose(xi, eta / 1e100, rtol=1e-12)
+
+
+def test_inverse_rejects_nonfinite_target():
+    with pytest.raises(ValueError, match="finite"):
+        duality_map_inverse(l2_cost(), None, np.array([np.inf, 1.0]))
+
+
 def test_growth_witnesses_squared_norm():
     F = l2_cost()
     lower, upper = check_growth(F, 200, 10.0, seed=0)

@@ -9,7 +9,7 @@ minimizer to a divergence-free dual field.
 from .bangbang import BangBang, ClampedBC1D, sample_solution, solve_bang_bang
 from .continuation import (
     SolveReport,
-    StageRow,
+    StageResult,
     continuation_solve,
     dual_field,
     geometric_schedule,
@@ -50,7 +50,6 @@ from .supremand import (
     duality_map,
     duality_map_field,
     duality_map_inverse,
-    duality_map_jacobian,
     duality_map_jacobian_det,
 )
 from .tensors import (

@@ -123,7 +123,7 @@ def _write_report(out_dir, cfg, report, oracle_row):
     ]
     for row in report.rows:
         lines.append(" ".join(["p_row =", _fmt(row.p), _fmt(row.energy), _fmt(row.peak),
-                               str(row.newton_iters), _fmt(row.grad_norm), _fmt(row.cv)]))
+                               str(row.iterations), _fmt(row.grad_rel), _fmt(row.cv)]))
     stalled = [_fmt(row.p) for row in report.rows if row.stalled]
     if stalled:
         lines.append(f"stalled_stages = {','.join(stalled)}")

@@ -29,6 +29,9 @@ stage; _TetheredProblem adds the quadratic tether of penalized_solve.
 
 L_h u is evaluated by the operator (DiscreteOperator.apply_dofs), once per field:
 each Newton loop returns the (L_h u, F) pair of its field for its callers to reuse.
+A stage (minimize_power_energy) returns one StageResult: its field, that pair, the
+dual field computed from it (dual_field), its bracket and its counters; the
+continuation report keeps the StageResult of every stage it ran.
 
 A stage stops by one of two rules.  The stage that ends the run (the last
 scheduled exponent, or the first whose bracket is narrower than
@@ -145,13 +148,20 @@ def _ratio_power(fv, m, expo, log_ratio=None):
 
 @dataclass
 class StageResult:
-    u: np.ndarray
-    energy: float
-    iterations: int
+    """What one exponent-p stage returns: its field, costs, dual field and bracket."""
+
+    p: float
+    u: np.ndarray       # full nodal field, the stage minimizer
+    lu: np.ndarray      # L_h u at the equation nodes
+    fv: np.ndarray      # nodal costs F(x, L_h u)
+    f: np.ndarray       # dual field (F/energy)^(p-1) F_xi at the equation nodes
+    energy: float       # power mean of fv, the lower end of the stage bracket
+    peak: float         # max of fv, the upper end
+    iterations: int     # Newton steps
     grad_rel: float     # adjoint-relative gradient residual at exit
-    stalled: bool = False
-    lu: np.ndarray = None   # L_h u at the equation nodes
-    fv: np.ndarray = None   # nodal costs F(x, L_h u)
+    stalled: bool       # accepted at the residual floor above its tol
+    cv: float           # coefficient of variation of fv on the active set of f
+    degenerate: bool    # peak at or below the zero floor; then f = 0 and cv = 0
 
 
 @dataclass
@@ -459,14 +469,18 @@ def minimize_power_energy(
 ):
     """Minimize the exponent-p power-mean energy over the clamped affine space.
 
-    Returns a StageResult whose field satisfies the clamp exactly and whose
-    adjoint-relative gradient residual is below tol (or at its floating-point
-    floor, whichever is hit first).  bracket_stop marks an intermediate stage
-    of a continuation that stops at the first bracket narrower than
-    bracket_stop: while this stage's bracket is wider, it ends as soon as a
-    full Newton step moves the power mean by at most ENERGY_RTOL relative.
-    A p outside [1, inf), a tol that is not positive and finite, or a
-    bracket_stop that is neither None nor positive and finite is a ValueError.
+    Returns the stage's StageResult: a field that satisfies the clamp exactly
+    and whose adjoint-relative gradient residual is below tol (or at its
+    floating-point floor, whichever is hit first), with its L_h u, costs, dual
+    field and bracket [energy, peak].  A stage whose peak cost is at or below
+    _zero_floor is degenerate: its dual field is zero and its cv 0.
+
+    bracket_stop marks an intermediate stage of a continuation that stops at
+    the first bracket narrower than bracket_stop: while this stage's bracket
+    is wider, it ends as soon as a full Newton step moves the power mean by at
+    most ENERGY_RTOL relative.  A p outside [1, inf), a tol that is not
+    positive and finite, or a bracket_stop that is neither None nor positive
+    and finite is a ValueError.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -480,22 +494,26 @@ def minimize_power_energy(
     )
     with np.errstate(divide="ignore"):
         energy = _power_mean(fv, p)
-    return StageResult(u=op.with_interior_dofs(clamp, x), energy=energy, iterations=iters,
-                       grad_rel=grad_rel, stalled=stalled, lu=lu, fv=fv)
+    peak = float(fv.max())
+    degenerate = peak <= problem.zero_floor
+    if degenerate:
+        # the costs are roundoff: no dual field, and no level to be constant at
+        f, cv = np.zeros((op.n_eq, op.n_components)), 0.0
+    else:
+        f = dual_field(op, supremand, lu, fv, p, energy)
+        # cost constancy on the nodes carrying the dual field, as the verifier reads it
+        cv = coefficient_of_variation(fv[active_set(f)[1]])
+    return StageResult(p=problem.p, u=op.with_interior_dofs(clamp, x), lu=lu, fv=fv, f=f,
+                       energy=energy, peak=peak, iterations=iters, grad_rel=grad_rel,
+                       stalled=stalled, cv=cv, degenerate=degenerate)
 
 
-def dual_field(op, supremand, u, p, energy):
-    """Nodewise dual field (F/energy)^(p-1) * F_xi at the equation nodes.
+def dual_field(op, supremand, lu, fv, p, energy):
+    """Nodewise dual field (F/energy)^(p-1) * F_xi from L_h u and its nodal costs F.
 
     The stationarity of the stage objective makes this field discretely
     orthogonal to L_h of every interior-supported test field.
     """
-    lu, fv = _evaluate(op, supremand, u)
-    return _dual(op, supremand, lu, fv, p, energy)
-
-
-def _dual(op, supremand, lu, fv, p, energy):
-    """dual_field from an evaluation (L_h u, F) already at hand."""
     if energy <= 0.0:
         raise DegenerateEnergy("energy level is zero; the zero-energy branch applies")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -504,19 +522,8 @@ def _dual(op, supremand, lu, fv, p, energy):
 
 
 @dataclass
-class StageRow:
-    p: float
-    energy: float       # power mean at the stage minimizer
-    peak: float         # max nodal cost at the stage minimizer
-    newton_iters: int
-    grad_norm: float    # adjoint-relative gradient residual at exit
-    cv: float           # coefficient of variation of the nodal cost
-    stalled: bool       # accepted at the residual floor above newton_tol
-
-
-@dataclass
 class SolveReport:
-    rows: list
+    rows: list                # the StageResult of each stage, in exponent order
     u: np.ndarray             # full nodal field
     f: np.ndarray             # dual field on the equation nodes
     e_inf: float              # midpoint estimate of the limiting value
@@ -564,11 +571,12 @@ def continuation_solve(
     with the clamp's band.  A p_max outside [1, inf), or a newton_tol or
     bracket_stop that is not positive and finite, is a ValueError.
 
-    Returns a SolveReport with the per-stage trace, the final field with its
-    L_h u, costs and dual field, the bracket midpoint estimate, and as verify
-    the verify_system report on the limiting optimality system.  A start or stage
-    field with peak cost at or below _zero_floor solves L_h u = 0, so it is the
-    unique minimizer and is returned (zero-energy branch, bracket (0, peak)).
+    Returns a SolveReport whose rows are the StageResults of the stages run, in
+    order, with the final field, its L_h u, costs and dual field, the bracket
+    midpoint estimate, and as verify the verify_system report on the limiting
+    optimality system.  A start or stage field with peak cost at or below
+    _zero_floor solves L_h u = 0, so it is the unique minimizer and is returned
+    (zero-energy branch, bracket (0, peak)).
     The cost, the operator, the clamp and initial must agree on the number of
     components N (DimensionMismatch otherwise), and the fields must be finite.
     """
@@ -582,54 +590,31 @@ def continuation_solve(
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if initial is None:
         start = cold_start(op, supremand, clamp)
-        u, lu, fv = start.u, start.lu, start.fv
+        u, lu, fv, degenerate = start.u, start.lu, start.fv, start.degenerate
     else:
         initial = check_field(initial, op.grid.n_nodes, n_comp, name="initial field")
         u = op.with_interior_dofs(clamp, op.interior_dofs(initial))
         lu, fv = _evaluate(op, supremand, u)
-    floor = _zero_floor(op, supremand, clamp)
+        degenerate = float(np.max(fv)) <= _zero_floor(op, supremand, clamp)
 
     rows = []
-    degenerate = float(np.max(fv)) <= floor
-    for p in sched if not degenerate else ():
+    for p in () if degenerate else sched:
         # every stage but the last scheduled one may end at energy accuracy
-        res = minimize_power_energy(op, supremand, clamp, p, warm_start=u, tol=newton_tol,
-                                    bracket_stop=bracket_stop if p < sched[-1] else None)
-        u, lu, fv = res.u, res.lu, res.fv
-        peak = float(np.max(fv))
-        degenerate = peak <= floor
-        if degenerate:
-            cv_row = 0.0  # the costs are roundoff: no level to be constant at
-        else:
-            # cost constancy on the nodes carrying the dual field, as the verifier reads it
-            f = _dual(op, supremand, lu, fv, p, res.energy)
-            cv_row = coefficient_of_variation(fv[active_set(f)[1]])
-        row = StageRow(
-            p=p,
-            energy=res.energy,
-            peak=peak,
-            newton_iters=res.iterations,
-            grad_norm=res.grad_rel,
-            cv=cv_row,
-            stalled=res.stalled,
-        )
-        rows.append(row)
+        rows.append(minimize_power_energy(op, supremand, clamp, p, warm_start=u, tol=newton_tol,
+                                          bracket_stop=bracket_stop if p < sched[-1] else None))
+        last = rows[-1]
+        u, lu, fv, degenerate = last.u, last.lu, last.fv, last.degenerate
         log.info(
             "stage p=%g: energy=%.12g peak=%.12g iters=%d grad_rel=%.3e cv=%.3e stalled=%s",
-            p, row.energy, row.peak, row.newton_iters, row.grad_norm, row.cv, row.stalled,
+            p, last.energy, last.peak, last.iterations, last.grad_rel, last.cv, last.stalled,
         )
-        if degenerate or _bracket_closed(res.energy, peak, bracket_stop):
+        if degenerate or _bracket_closed(last.energy, last.peak, bracket_stop):
             break
 
     if degenerate:
-        f = np.zeros((op.n_eq, op.n_components))
-        e_inf = 0.0
-        bracket = (0.0, float(np.max(fv)))
+        f, e_inf, bracket = np.zeros((op.n_eq, n_comp)), 0.0, (0.0, float(np.max(fv)))
     else:
-        # f is the last stage's dual field
-        last = rows[-1]
-        e_inf = 0.5 * (last.energy + last.peak)
-        bracket = (last.energy, last.peak)
+        f, e_inf, bracket = last.f, 0.5 * (last.energy + last.peak), (last.energy, last.peak)
 
     report = SolveReport(
         rows=rows, u=u, f=f, e_inf=e_inf, bracket=bracket, degenerate=degenerate, lu=lu, fv=fv

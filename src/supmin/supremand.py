@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import GrowthViolation, NoConvergence, SingularHessian
 
-ZERO_RADIUS = 1e-14  # below this, the gradient-ray map is pinned to 0
 OBJ_ROUNDOFF = 64.0 * np.finfo(np.float64).eps  # of F - target . xi, relative to its terms
 
 
@@ -107,7 +106,8 @@ class WeightedPowerNorm(Supremand):
     For q < 2 the squared norm is not twice differentiable on the coordinate
     hyperplanes, so a smoothing eps > 0 is required there; entries xi_k are
     replaced by sqrt(xi_k^2 + eps^2) and the value at the origin is subtracted
-    to keep F(x, 0) = 0.  alpha may be a constant or a callable on point
+    to keep F(x, 0) = 0, through log1p/expm1 so that the difference does not
+    cancel at |xi| << eps.  alpha may be a constant or a callable on point
     arrays; callables need explicit (alpha_min, alpha_max) bounds for the
     growth constant.
 
@@ -163,12 +163,8 @@ class WeightedPowerNorm(Supremand):
         return alpha.reshape(field.shape[:1] + (1,) * (field.ndim - 1)) * field
 
     def _core(self, values):
-        q = self.q
         s = values**2 + self.eps**2
-        s_pow = s ** (q / 2.0)
-        big_s = s_pow.sum(axis=1)
-        offset = (self.n_components * self.eps**q) ** (2.0 / q) if self.eps > 0 else 0.0
-        return s, big_s, offset
+        return s, (s ** (self.q / 2.0)).sum(axis=1)
 
     def eval_field(self, points, values):
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -208,13 +204,19 @@ class WeightedPowerNorm(Supremand):
         return out
 
     def _eval_general(self, points, values):
-        _, big_s, offset = self._core(values)
-        base = big_s ** (2.0 / self.q) - offset
+        q = self.q
+        if self.eps > 0.0:
+            # S^(2/q) - S(0)^(2/q) = S(0)^(2/q) expm1((2/q) log1p(S/S(0) - 1)), where
+            # S/S(0) - 1 = mean_k expm1((q/2) log1p(xi_k^2/eps^2)): no cancellation
+            rel = np.expm1((q / 2.0) * np.log1p((values / self.eps) ** 2)).mean(axis=1)
+            base = self.n_components ** (2.0 / q) * self.eps**2 * np.expm1((2.0 / q) * np.log1p(rel))
+        else:
+            base = self._core(values)[1] ** (2.0 / q)
         return self._weighted(points, base)
 
     def _grad_general(self, points, values):
         q = self.q
-        s, big_s, _ = self._core(values)
+        s, big_s = self._core(values)
         with np.errstate(divide="ignore", invalid="ignore"):
             outer = big_s ** (2.0 / q - 1.0)
         outer = np.where(big_s > 0.0, outer, 0.0 if q != 2.0 else 1.0)
@@ -225,7 +227,7 @@ class WeightedPowerNorm(Supremand):
     def _hess_general(self, points, values):
         n = values.shape[1]
         q = self.q
-        s, big_s, _ = self._core(values)
+        s, big_s = self._core(values)
         with np.errstate(divide="ignore", invalid="ignore"):
             p1 = big_s ** (2.0 / q - 2.0)
             p2 = big_s ** (2.0 / q - 1.0)
@@ -250,38 +252,24 @@ def convexity_gap(supremand, x, xi):
 
 
 def duality_map_field(supremand, points, values):
-    """F(x, xi) * F_xi / |F_xi| over nodal fields, extended by 0 at the origin; shape (M, N).
+    """F(x, xi) * F_xi / |F_xi| over nodal fields, extended by 0 where F_xi = 0; shape (M, N).
 
     Each image row has magnitude F(x, xi) and points along the cost gradient.
+    F_xi vanishes at the origin (and where it underflows), nowhere else.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     f = supremand.eval_field(points, values)
     g = supremand.grad_field(points, values)
     ng = np.linalg.norm(g, axis=1)
-    small = (np.linalg.norm(values, axis=1) < ZERO_RADIUS) | (ng == 0.0)
-    safe = np.where(small, 1.0, ng)
-    out = (f / safe)[:, None] * g
-    out[small] = 0.0
+    zero = ng == 0.0
+    out = (f / np.where(zero, 1.0, ng))[:, None] * g
+    out[zero] = 0.0
     return out
 
 
 def duality_map(supremand, x, xi):
     """The gradient-ray map at one node: the one row of duality_map_field."""
     return duality_map_field(supremand, _point_array(x), xi)[0]
-
-
-def duality_map_jacobian(supremand, x, xi):
-    """Derivative matrix of the gradient-ray map at xi != 0."""
-    xi = np.asarray(xi, dtype=np.float64)
-    f = supremand.eval(x, xi)
-    g = supremand.grad(x, xi)
-    h = supremand.hess(x, xi)
-    ng = np.linalg.norm(g)
-    if ng == 0.0:
-        raise SingularHessian("gradient vanishes away from the origin")
-    ghat = g / ng
-    proj = np.eye(xi.size) - np.outer(ghat, ghat)
-    return (np.outer(g, g) + f * h @ proj) / ng
 
 
 def duality_map_jacobian_det(supremand, x, xi):

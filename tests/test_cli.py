@@ -616,9 +616,9 @@ def test_inconsistent_report_is_verification_failure(tmp_path, capsys, monkeypat
 
 def test_check_invariants_raises_under_optimize():
     code = (
-        "from supmin.continuation import SolveReport, StageRow\n"
-        "row = StageRow(p=2.0, energy=5.0, peak=6.0, newton_iters=1, grad_norm=0.0, cv=0.0,"
-        " stalled=False)\n"
+        "from supmin.continuation import SolveReport, StageResult\n"
+        "row = StageResult(p=2.0, u=None, lu=None, fv=None, f=None, energy=5.0, peak=6.0,"
+        " iterations=1, grad_rel=0.0, stalled=False, cv=0.0, degenerate=False)\n"
         "report = SolveReport(rows=[row], u=None, f=None, e_inf=100.0, bracket=(5.0, 6.0))\n"
         "try:\n"
         "    report.check_invariants()\n"

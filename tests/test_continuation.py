@@ -23,6 +23,7 @@ from supmin import (
     apply_operator,
     assemble_operator,
     block_diagonal_tensor,
+    coefficient_of_variation,
     continuation_solve,
     det_coupled_tensor,
     dual_field,
@@ -46,6 +47,7 @@ from supmin.continuation import (
     cold_start,
 )
 from supmin.operators import _csr_matvec
+from supmin.verify import active_set
 
 
 def _power_mean_of(op, F, u, p):
@@ -235,7 +237,8 @@ def test_dual_field_at_constant_cost():
     grid, op, F, _ = make_1d_problem(nodes=41)
     u = (grid.coords()[:, 0] ** 2).reshape(-1, 1)
     e = _power_mean_of(op, F, u, 32.0)
-    f = dual_field(op, F, u, 32.0, e)
+    lu, fv = _evaluate(op, F, u)
+    f = dual_field(op, F, lu, fv, 32.0, e)
     gv = F.grad_field(op.eq_coords(), apply_operator(op, u))
     np.testing.assert_allclose(f, gv, rtol=1e-10)
 
@@ -248,7 +251,7 @@ def test_dual_field_log_domain_reference():
     lu = apply_operator(op, rep.u)
     fv = F.eval_field(op.eq_coords(), lu)
     gv = F.grad_field(op.eq_coords(), lu)
-    f = dual_field(op, F, rep.u, p_last, energy)
+    f = dual_field(op, F, lu, fv, p_last, energy)
     with np.errstate(divide="ignore"):
         ref = np.exp((p_last - 1.0) * (np.log(fv) - np.log(energy)))[:, None] * gv
     np.testing.assert_allclose(f, ref, rtol=1e-10)
@@ -261,7 +264,7 @@ def test_dual_field_mean_bound():
     for p in (2.0, 8.0, 64.0):
         res = minimize_power_energy(op, F, u0, p=p, warm_start=warm)
         warm = res.u
-        f = dual_field(op, F, res.u, p, res.energy)
+        f = dual_field(op, F, res.lu, res.fv, p, res.energy)
         mean_f = float(np.mean(np.linalg.norm(f, axis=1)))
         assert mean_f <= F.c ** 1.5 * np.sqrt(res.energy) * (1.0 + 1e-9)
 
@@ -269,7 +272,7 @@ def test_dual_field_mean_bound():
 def test_dual_field_requires_positive_energy():
     grid, op, F, u0 = make_1d_problem(nodes=21)
     with pytest.raises(DegenerateEnergy):
-        dual_field(op, F, u0, 4.0, 0.0)
+        dual_field(op, F, *_evaluate(op, F, u0), 4.0, 0.0)
 
 
 def test_dual_field_sign_split_at_large_p(bang_bang_problem):
@@ -283,7 +286,7 @@ def test_dual_field_sign_split_at_large_p(bang_bang_problem):
 
 def test_one_operator_evaluation_per_stage(bang_bang_problem, monkeypatch):
     grid, op, F, u0 = bang_bang_problem
-    calls, fields = [], []
+    calls, stages = [], []
     apply_real = supmin.continuation.apply_operator
     stage_real = supmin.continuation.minimize_power_energy
 
@@ -293,7 +296,7 @@ def test_one_operator_evaluation_per_stage(bang_bang_problem, monkeypatch):
 
     def recorded_stage(*args, **kwargs):
         res = stage_real(*args, **kwargs)
-        fields.append(res.u)
+        stages.append(res)
         return res
 
     monkeypatch.setattr(supmin.continuation, "apply_operator", counted_apply)
@@ -306,11 +309,18 @@ def test_one_operator_evaluation_per_stage(bang_bang_problem, monkeypatch):
     assert len(calls) == 1
     np.testing.assert_array_equal(apply_operator(op, rep.u), rep.lu)
     last = rep.rows[-1]
-    assert np.array_equal(rep.f, dual_field(op, F, rep.u, last.p, last.energy))
-    # fields[0] is the cold start; each stage's energy is its field's power mean
-    assert len(fields) == len(rep.rows) + 1
-    for row, u in zip(rep.rows, fields[1:]):
-        assert row.energy == _power_mean_of(op, F, u, row.p)
+    assert np.array_equal(rep.f, dual_field(op, F, rep.lu, rep.fv, last.p, last.energy))
+    # stages[0] is the cold start; each row is the record its stage returned,
+    # complete with its field's evaluation, bracket, dual field and cost spread
+    assert len(stages) == len(rep.rows) + 1
+    assert all(row is res for row, res in zip(rep.rows, stages[1:]))
+    assert [res.p for res in stages] == [1.0, *geometric_schedule(4096.0)[:len(rep.rows)]]
+    for res in stages:
+        assert not res.degenerate
+        assert res.energy == _power_mean_of(op, F, res.u, res.p)
+        assert res.peak == res.fv.max()
+        np.testing.assert_array_equal(res.f, dual_field(op, F, res.lu, res.fv, res.p, res.energy))
+        assert res.cv == coefficient_of_variation(res.fv[active_set(res.f)[1]])
 
 
 def test_continuation_affine_data_degenerates():
@@ -513,7 +523,7 @@ def test_intermediate_stages_end_at_energy_accuracy(bang_bang_problem):
         ref = minimize_power_energy(op, F, u0, row.p, warm_start=warm, tol=1e-9)
         warm, chain_iters = ref.u, chain_iters + ref.iterations
         assert row.energy == pytest.approx(ref.energy, rel=1e-8)
-    assert sum(row.newton_iters for row in rep.rows) < chain_iters
+    assert sum(row.iterations for row in rep.rows) < chain_iters
     last = rep.rows[-1]
     assert last.energy == pytest.approx(ref.energy, rel=1e-9)
     assert last.peak == pytest.approx(float(np.max(ref.fv)), rel=1e-9)
@@ -550,7 +560,7 @@ def _config_fit(name):
 def test_final_stage_reaches_newton_tol(fit):
     newton_tol, rep = fit()
     assert rep.rows or rep.degenerate
-    assert all(row.grad_norm <= newton_tol or row.stalled for row in rep.rows[-1:])
+    assert all(row.grad_rel <= newton_tol or row.stalled for row in rep.rows[-1:])
 
 
 def _stage_hessian_problem(shape, n_comp, seed, tensor=None):
@@ -928,6 +938,12 @@ def test_degenerate_stage_row_reports_zero_cv():
     assert rep.degenerate and len(rep.rows) == 1
     assert rep.rows[0].cv == 0.0
     assert rep.verify.cv_F == 0.0
+    # the row is a degenerate stage record: peak at its zero floor, no dual field
+    row = rep.rows[0]
+    assert row.degenerate
+    assert row.peak == row.fv.max() <= _zero_floor(op, F, u0)
+    assert row.f.shape == (op.n_eq, 1)
+    np.testing.assert_array_equal(row.f, 0.0)
 
 
 def test_initial_field_keeps_the_clamp():

@@ -6,11 +6,14 @@ the same config reproduces every byte.
 
 ``sweep`` parses every config first, then runs them in forked worker
 processes: one worker per usable CPU, capped by the number of distinct
-configs, each with scipy's OpenBLAS pinned to one thread.  Its outputs are
-byte-identical to ``run`` on each config.
+configs.  Its outputs are byte-identical to ``run`` on each config.  Every
+solve of ``run`` and ``sweep`` runs with scipy's OpenBLAS on one thread (the
+banded Cholesky of the Newton steps is fastest there), and the caller's
+thread count is restored after it.
 """
 
 import argparse
+import contextlib
 import ctypes
 import glob
 import multiprocessing
@@ -186,14 +189,15 @@ def _oracle_for_config(cfg, supremand):
 
 def _run_single(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    est = _solve_from_config(cfg)
-    report = est.report_
-    oracle_row = _oracle_for_config(cfg, est.supremand)
-    _check_report(cfg, report)
-    _write_report(out_dir, cfg, report, oracle_row)
-    _write_fields(os.path.join(out_dir, "fields.dat"), est.operator_, report)
-    if oracle_row is not None:
-        _write_text(out_dir, "oracle.txt", _oracle_text(*oracle_row))
+    with _one_blas_thread():
+        est = _solve_from_config(cfg)
+        report = est.report_
+        oracle_row = _oracle_for_config(cfg, est.supremand)
+        _check_report(cfg, report)
+        _write_report(out_dir, cfg, report, oracle_row)
+        _write_fields(os.path.join(out_dir, "fields.dat"), est.operator_, report)
+        if oracle_row is not None:
+            _write_text(out_dir, "oracle.txt", _oracle_text(*oracle_row))
     return report
 
 
@@ -212,15 +216,26 @@ def _scipy_openblas():
     return ctypes.CDLL(found[0]) if found else None
 
 
-def _pin_blas_thread():
-    """Worker initializer: one OpenBLAS thread, so workers do not oversubscribe the CPUs."""
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and give the caller its thread count back.
+
+    Does nothing where scipy ships no OpenBLAS with a thread-count API.
+    """
     lib = _scipy_openblas()
+    get_threads = getattr(lib, "scipy_openblas_get_num_threads", None)
     set_threads = getattr(lib, "scipy_openblas_set_num_threads", None)
-    if set_threads is None:
+    if get_threads is None or set_threads is None:
+        yield
         return
     set_threads.argtypes = [ctypes.c_int]
     set_threads.restype = None
+    before = get_threads()
     set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def _usable_cpus():
@@ -231,14 +246,13 @@ def _usable_cpus():
 
 
 def _sweep_pool(workers):
-    """Process pool of forked workers with one BLAS thread each.
+    """Process pool of forked workers; each solve in one runs on one BLAS thread (_run_single).
 
     The start method is named because fork is not the default everywhere: a
     spawned or forkserver worker re-imports numpy and scipy, which costs more
     than a small solve.
     """
-    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_pin_blas_thread)
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def _sweep_item(cfg, out_dir):

@@ -8,19 +8,20 @@ each Newton system is factored by banded Cholesky at cost O(n * bw^2).  Each
 Newton step assembles the band of L^T D L by one sparse mat-vec: the
 operator's product map (DiscreteOperator.hessian_pattern), built once from
 the nonzero free-column coefficients, takes the nodal (N, N) blocks of D to
-every stored upper band entry, and the bandwidth bw comes from that map.  The
-band is LAPACK upper band storage held column-major (a Fortran-ordered
-(bw + 1, n) array), so dpbtrf reads it without a transposing copy.  A stage
-keeps two such buffers from its first step on: the band, rewritten at its
-stored entries each step (every other entry stays zero), and the factor,
-which dpbtrf overwrites in place; so no Newton step allocates a band.  The
-operator stores no zero coefficients, so with N components on a 2D grid with
-m_last nodes along the last axis bw is at most 2(m_last - 4) * N + N - 1 for
-5-point operators (no cross-derivative terms) and (2(m_last - 4) + 2) * N +
-N - 1 with them; in 1D it is at most 3N - 1.  Objectives are rescaled by the
-running peak cost so that arbitrarily large exponents stay inside
-floating-point range, and each stage reports the rigorous bracket
-[power mean, peak] around the limiting value.
+every stored lower band entry, and the bandwidth bw comes from that map.  The
+band is LAPACK lower band storage held column-major (a Fortran-ordered
+(bw + 1, n) array with the diagonal in row 0): H[j, i], i <= j, sits at
+band[j - i, i], flat position i * (bw + 1) + (j - i), so dpbtrf reads it
+without a transposing copy.  A stage keeps two such buffers from its first
+step on: the band, rewritten at its stored entries each step (every other
+entry stays zero), and the factor, which dpbtrf overwrites in place; so no
+Newton step allocates a band.  The operator stores no zero coefficients, so
+with N components on a 2D grid with m_last nodes along the last axis bw is at
+most 2(m_last - 4) * N + N - 1 for 5-point operators (no cross-derivative
+terms) and (2(m_last - 4) + 2) * N + N - 1 with them; in 1D it is at most
+3N - 1.  Objectives are rescaled by the running peak cost so that arbitrarily
+large exponents stay inside floating-point range, and each stage reports the
+rigorous bracket [power mean, peak] around the limiting value.
 
 One damped Newton loop (_newton_loop) serves every minimization here; the
 problem object it runs supplies the objective, its gradient, the factored
@@ -31,7 +32,9 @@ L_h u is evaluated by the operator (DiscreteOperator.apply_dofs), once per field
 each Newton loop returns the (L_h u, F) pair of its field for its callers to reuse.
 A stage (minimize_power_energy) returns one StageResult: its field, that pair, the
 dual field computed from it (dual_field), its bracket and its counters; the
-continuation report keeps the StageResult of every stage it ran.
+continuation report keeps the StageResult of every stage it ran, and each stage
+starts its Newton loop from the pair of the field before it instead of
+evaluating that field again.
 
 A stage stops by one of two rules.  The stage that ends the run (the last
 scheduled exponent, or the first whose bracket is narrower than
@@ -132,7 +135,7 @@ def _log_ratio(fv, m):
 
 
 def _ratio_power(fv, m, expo, log_ratio=None):
-    """(F_i/m)^expo with 0^expo := 0, evaluated through logs for stability.
+    """(F_i/m)^expo with 0^expo := 0 for expo != 0 and 0^0 := 1, evaluated through logs.
 
     log_ratio, when given, is _log_ratio(fv, m) already at hand.  For negative
     exponents, costs many orders below the scale are treated as zero so the
@@ -227,11 +230,11 @@ class _StageProblem:
         return blocks
 
     def newton_band(self, state):
-        """Upper band storage of the exact objective Hessian L^T D L at state."""
+        """Lower band storage of the exact objective Hessian L^T D L at state."""
         return self.hessian_band(self.newton_blocks(state))
 
     def hessian_band(self, blocks):
-        """Upper band storage of L^T D L for nodewise (N, N) blocks D_i, Fortran-ordered.
+        """Lower band storage of L^T D L for nodewise (N, N) blocks D_i, Fortran-ordered.
 
         The band is the stage's own buffer, allocated zero on first use: each
         call rewrites its stored entries and leaves the rest at zero.
@@ -303,7 +306,7 @@ class _TetheredProblem(_StageProblem):
         blocks = self.newton_blocks(state)
         blocks *= self._chain(state.fv)
         band = self.hessian_band(blocks)
-        band[-1] += 1.0 / self.n_int
+        band[0] += 1.0 / self.n_int
         return band
 
     def residual(self, state):
@@ -314,25 +317,25 @@ class _TetheredProblem(_StageProblem):
 
 
 def _factor_spd(band, factor, stored):
-    """Upper banded Cholesky factor R of the (regularized) Hessian H + shift*I.
+    """Lower banded Cholesky factor L of the (regularized) Hessian H + shift*I.
 
-    band is the LAPACK upper band storage of H, band[bw + i - j, j] = H[i, j];
-    stored indexes its flat column-major entries that may be nonzero (every
-    other one must be zero), and only those are checked for finiteness.
+    band is the LAPACK lower band storage of H, band[j - i, i] = H[j, i] for
+    i <= j; stored indexes its flat column-major entries that may be nonzero
+    (every other one must be zero), and only those are checked for finiteness.
     band is left untouched: each attempt copies it into factor, a
-    Fortran-ordered buffer of the same shape, shifts the diagonal (last) row
+    Fortran-ordered buffer of the same shape, shifts the diagonal (row 0)
     there, and dpbtrf factors it in place.  dpbtrf reports a non-positive
     leading minor as info > 0, which lifts the shift until the band factors.
-    R comes back in the same band storage, as _solve_spd reads it.
+    L comes back in the same band storage, as _solve_spd reads it.
     """
     if not np.all(np.isfinite(band.T.reshape(-1)[stored])):
         raise NoConvergence("Newton system has non-finite entries")
-    scale = max(float(np.max(np.abs(band[-1]))), 1e-300)
+    scale = max(float(np.max(np.abs(band[0]))), 1e-300)
     shift = 1e-14 * scale
     for _ in range(8):
         np.copyto(factor, band)
-        factor[-1] += shift
-        factor, info = dpbtrf(factor, overwrite_ab=1)
+        factor[0] += shift
+        factor, info = dpbtrf(factor, lower=1, overwrite_ab=1)
         if info == 0:
             return factor
         if info < 0:
@@ -342,14 +345,14 @@ def _factor_spd(band, factor, stored):
 
 
 def _solve_spd(factor, rhs):
-    """(R^T R)^-1 rhs for the band factor R that _factor_spd returns."""
-    x, info = dpbtrs(factor, rhs)
+    """(L L^T)^-1 rhs for the band factor L that _factor_spd returns."""
+    x, info = dpbtrs(factor, rhs, lower=1)
     if info < 0:
         raise ValueError(f"dpbtrs: illegal value in argument {-info}")
     return x
 
 
-def _newton_loop(problem, x, tol, label):
+def _newton_loop(problem, x, tol, label, start=None):
     """Damped Newton on a stage or tethered problem.
 
     The problem supplies the objective, its gradient, the factored Newton
@@ -372,10 +375,12 @@ def _newton_loop(problem, x, tol, label):
       open: energy accuracy is all a later stage's warm start needs.
 
     Costs at or below the problem's zero_floor count as an exact zero-energy
-    minimum.  Returns (x, iterations, residual, stalled, lu, fv), lu and fv at x.
+    minimum.  start, when given, is problem.evaluate(x), and x is then not
+    evaluated again.  Returns (x, iterations, residual, stalled, lu, fv), lu
+    and fv at x.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lu, fv = problem.evaluate(x)
+        lu, fv = problem.evaluate(x) if start is None else start
         peak = float(fv.max())
         if peak <= problem.zero_floor:
             return x, 0, 0.0, False, lu, fv
@@ -466,6 +471,7 @@ def minimize_power_energy(
     warm_start=None,
     tol=NEWTON_TOL,
     bracket_stop=None,
+    warm_eval=None,
 ):
     """Minimize the exponent-p power-mean energy over the clamped affine space.
 
@@ -478,9 +484,11 @@ def minimize_power_energy(
     bracket_stop marks an intermediate stage of a continuation that stops at
     the first bracket narrower than bracket_stop: while this stage's bracket
     is wider, it ends as soon as a full Newton step moves the power mean by at
-    most ENERGY_RTOL relative.  A p outside [1, inf), a tol that is not
-    positive and finite, or a bracket_stop that is neither None nor positive
-    and finite is a ValueError.
+    most ENERGY_RTOL relative.  warm_eval, when given, is the (L_h u, nodal
+    costs) pair of a warm_start that agrees with clamp on its band: the stage
+    starts from that pair instead of evaluating warm_start again.  A p
+    outside [1, inf), a tol that is not positive and finite, or a
+    bracket_stop that is neither None nor positive and finite is a ValueError.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -490,7 +498,7 @@ def minimize_power_energy(
     u0 = clamp if warm_start is None else np.asarray(warm_start, dtype=np.float64)
     problem = _StageProblem(op, supremand, clamp, p, bracket_stop)
     x, iters, grad_rel, stalled, lu, fv = _newton_loop(
-        problem, op.interior_dofs(u0), tol, label=f"stage p={p:g}"
+        problem, op.interior_dofs(u0), tol, label=f"stage p={p:g}", start=warm_eval
     )
     with np.errstate(divide="ignore"):
         energy = _power_mean(fv, p)
@@ -599,9 +607,11 @@ def continuation_solve(
 
     rows = []
     for p in () if degenerate else sched:
-        # every stage but the last scheduled one may end at energy accuracy
+        # every stage but the last scheduled one may end at energy accuracy;
+        # each starts from the L_h u and costs of its warm start at hand
         rows.append(minimize_power_energy(op, supremand, clamp, p, warm_start=u, tol=newton_tol,
-                                          bracket_stop=bracket_stop if p < sched[-1] else None))
+                                          bracket_stop=bracket_stop if p < sched[-1] else None,
+                                          warm_eval=(lu, fv)))
         last = rows[-1]
         u, lu, fv, degenerate = last.u, last.lu, last.fv, last.degenerate
         log.info(

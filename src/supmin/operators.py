@@ -115,20 +115,21 @@ def _csr_matvec(mat, x):
 
 @dataclass(frozen=True)
 class HessianPattern:
-    """Product map from the nodal blocks D_e to the upper band of L^T D L.
+    """Product map from the nodal blocks D_e to the lower band of L^T D L.
 
-    H = L^T D L has H[i, j] = sum_e sum_{a,b} L[eN + a, i] D_e[a, b] L[eN + b, j],
-    so each upper entry (i <= j) is a fixed linear form in the blocks.  The
+    H = L^T D L is symmetric, with
+    H[j, i] = H[i, j] = sum_e sum_{a,b} L[eN + a, i] D_e[a, b] L[eN + b, j],
+    so each lower entry (i <= j) is a fixed linear form in the blocks.  The
     CSR matrix products holds those forms: its row r sums the products
     L[eN + a, i] * L[eN + b, j] of the nonzero free_matrix coefficients that
     land on the r-th stored band entry, against column e*N*N + a*N + b of the
     flat (n_eq, N, N) blocks, so products @ blocks.ravel() is every stored
     entry at once.  band_pos[r] is where that entry sits in the flat
-    column-major (Fortran-order) upper band of shape (bandwidth + 1, n_dofs),
-    the layout LAPACK reads: H[i, j] = band[bandwidth + i - j, j] at flat index
-    j * (bandwidth + 1) + bandwidth + i - j.  The stored entries are the
-    structurally nonzero ones plus the whole diagonal, in ascending band_pos;
-    every other band entry is zero whatever the blocks are.
+    column-major (Fortran-order) lower band of shape (bandwidth + 1, n_dofs),
+    the layout LAPACK reads: H[j, i] = band[j - i, i] at flat index
+    i * (bandwidth + 1) + (j - i), with the diagonal in row 0.  The stored
+    entries are the structurally nonzero ones plus the whole diagonal, in
+    ascending band_pos; every other band entry is zero whatever the blocks are.
     """
 
     products: object        # CSR, (n_stored, n_eq * N * N)
@@ -151,13 +152,13 @@ def _hessian_pattern(free_matrix, n_comp):
     s = np.repeat(np.arange(row.size), reps)
     t = np.arange(s.size) - np.repeat(np.cumsum(reps) - reps, reps)
     t += np.repeat((np.cumsum(per_node) - per_node)[node], reps)
-    upper = col[s] <= col[t]
-    s, t = s[upper], t[upper]
+    lower = col[s] <= col[t]  # the pair lands on H[col[t], col[s]], on or below the diagonal
+    s, t = s[lower], t[lower]
     ci, cj = col[s], col[t]
     bw = int(np.max(cj - ci, initial=0))
-    pos = cj * (bw + 1) + bw + ci - cj
+    pos = ci * (bw + 1) + cj - ci
     stored = np.zeros((n_dofs, bw + 1), dtype=bool)  # the band's transpose, row-major
-    stored[:, bw] = True
+    stored[:, 0] = True
     stored.flat[pos] = True
     band_pos = np.flatnonzero(stored)
     out_row = np.empty(stored.size, dtype=np.int64)

@@ -503,8 +503,17 @@ def test_sweep_leaves_no_worker_running(tmp_path, extra, code):
     assert multiprocessing.active_children() == []
 
 
-def openblas_threads():
-    return supmin.cli._scipy_openblas().scipy_openblas_get_num_threads()
+@pytest.fixture
+def blas_threads():
+    """scipy's OpenBLAS thread-count getter, the caller set to two threads until teardown."""
+    lib = supmin.cli._scipy_openblas()
+    count = getattr(lib, "scipy_openblas_get_num_threads", None)
+    if count is None:
+        pytest.skip("scipy ships no OpenBLAS with a thread-count API here")
+    before = count()
+    lib.scipy_openblas_set_num_threads(2)
+    yield count
+    lib.scipy_openblas_set_num_threads(before)
 
 
 @pytest.mark.parametrize("found", [None, object()], ids=["no-library", "no-symbol"])
@@ -513,18 +522,40 @@ def test_blas_pin_without_library_is_noop(monkeypatch, found):
     count = getattr(lib, "scipy_openblas_get_num_threads", lambda: None)
     before = count()
     monkeypatch.setattr(supmin.cli, "_scipy_openblas", lambda: found)
-    supmin.cli._pin_blas_thread()
+    with supmin.cli._one_blas_thread():
+        assert count() == before
     assert count() == before
 
 
-def test_sweep_worker_uses_one_blas_thread():
-    lib = supmin.cli._scipy_openblas()
-    if getattr(lib, "scipy_openblas_get_num_threads", None) is None:
-        pytest.skip("scipy ships no OpenBLAS with a thread-count API here")
-    before = openblas_threads()
-    with supmin.cli._sweep_pool(1) as pool:
-        assert pool.submit(openblas_threads).result(timeout=60) == 1
-    assert openblas_threads() == before
+def solve_thread_counts(tmp_path, monkeypatch, blas_threads, command):
+    """OpenBLAS thread count at each solve of a CLI run or a two-config sweep."""
+    log = tmp_path / "threads.log"
+    solve = supmin.cli._solve_from_config
+
+    def logged_solve(cfg):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{blas_threads()}\n")
+        return solve(cfg)
+
+    monkeypatch.setattr(supmin.cli, "_solve_from_config", logged_solve)
+    cfgs = [write(tmp_path, "affine.cfg", AFFINE_CFG), write(tmp_path, "sym.cfg", SYMMETRIC_CFG)]
+    if command == "run":
+        assert main(["run", "--config", cfgs[0], "--out", str(tmp_path / "out")]) == 0
+    else:
+        assert sweep(tmp_path / "out", cfgs) == 0
+    return log.read_text().split()
+
+
+def test_run_uses_one_blas_thread_and_restores_the_callers(tmp_path, monkeypatch, blas_threads):
+    caller = blas_threads()
+    assert solve_thread_counts(tmp_path, monkeypatch, blas_threads, "run") == ["1"]
+    assert blas_threads() == caller
+
+
+def test_sweep_worker_uses_one_blas_thread(tmp_path, monkeypatch, blas_threads):
+    caller = blas_threads()
+    assert solve_thread_counts(tmp_path, monkeypatch, blas_threads, "sweep") == ["1", "1"]
+    assert blas_threads() == caller
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are Linux's")

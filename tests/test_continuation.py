@@ -35,6 +35,7 @@ from supmin import (
 from supmin.cli import _solve_from_config
 from supmin.config import boundary_profile, build_grid, build_supremand, build_tensor, parse_config
 from supmin.continuation import (
+    BRACKET_STOP,
     _evaluate,
     _factor_spd,
     _newton_loop,
@@ -512,6 +513,35 @@ def test_residual_floor_costs_no_halvings(monkeypatch):
     assert not any(row.stalled for row in rep.rows[:-1])
 
 
+@pytest.mark.parametrize("start", ["cold", "initial"])
+def test_stages_do_not_evaluate_their_warm_start_again(monkeypatch, start):
+    # each stage starts from the L_h u and costs its warm start already has
+    # (the cold start's, the initial field's, or the previous stage's), and
+    # ends where an array warm start, evaluated again, ends, bit for bit
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    cold = cold_start(op, F, u0).u
+    initial = None if start == "cold" else cold + 0.01
+    seen = []
+    evaluate = _StageProblem.evaluate
+
+    def recording(self, x):
+        seen.append((self.p, x.copy()))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(_StageProblem, "evaluate", recording)
+    rep = continuation_solve(op, F, u0, p_max=64.0, initial=initial)
+    monkeypatch.undo()
+    assert len(rep.rows) > 2
+    warm_starts = [cold if initial is None else initial] + [row.u for row in rep.rows[:-1]]
+    for row, warm in zip(rep.rows, warm_starts):
+        warm_x = op.interior_dofs(warm)
+        assert not any(p == row.p and np.array_equal(x, warm_x) for p, x in seen)
+        again = minimize_power_energy(op, F, u0, row.p, warm_start=warm,
+                                      bracket_stop=None if row is rep.rows[-1] else BRACKET_STOP)
+        np.testing.assert_array_equal(again.u, row.u)
+        assert (again.iterations, again.energy) == (row.iterations, row.energy)
+
+
 def test_intermediate_stages_end_at_energy_accuracy(bang_bang_problem):
     # against a chain of stages each driven to tol = 1e-9: fewer Newton steps,
     # intermediate energies within 1e-8, and the stage that ends the run as accurate
@@ -634,12 +664,12 @@ def _dense_hessian(op, blocks):
     return mat.T @ block_diag(*blocks) @ mat
 
 
-def _upper_band(dense, bw):
-    """LAPACK upper band storage, band[bw + i - j, j] = dense[i, j]."""
+def _lower_band(dense, bw):
+    """LAPACK lower band storage, band[j - i, i] = dense[j, i] for i <= j."""
     n = dense.shape[0]
     band = np.zeros((bw + 1, n))
     for k in range(bw + 1):
-        band[bw - k, k:] = np.diagonal(dense, k)
+        band[k, :n - k] = np.diagonal(dense, -k)
     return band
 
 
@@ -667,8 +697,8 @@ def test_hessian_band_matches_dense(shape, n_comp, tensor, zero_nodes):
     # column-major, the layout dpbtrf reads without a transposing copy
     assert band.flags.f_contiguous
     # every nonzero of the Hessian lies inside the band
-    assert not np.any(np.triu(dense, bw + 1))
-    np.testing.assert_allclose(band, _upper_band(dense, bw),
+    assert not np.any(np.tril(dense, -bw - 1))
+    np.testing.assert_allclose(band, _lower_band(dense, bw),
                                rtol=0.0, atol=1e-12 * np.max(np.abs(dense)))
 
 
@@ -690,9 +720,9 @@ def test_factor_spd_matches_scipy_banded_cholesky(shape, n_comp):
     problem, blocks = _stage_hessian_problem(shape, n_comp, seed=7)
     band = problem.hessian_band(blocks)
     shifted = band.copy()
-    shifted[-1] += 1e-14 * np.max(np.abs(band[-1]))
+    shifted[0] += 1e-14 * np.max(np.abs(band[0]))
     rhs = np.random.default_rng(8).standard_normal(band.shape[1])
-    ref = cho_solve_banded((cholesky_banded(shifted), False), rhs)
+    ref = cho_solve_banded((cholesky_banded(shifted, lower=True), True), rhs)
     step = _solve_spd(_factor(band), rhs)
     assert np.array_equal(step, ref)
 
@@ -733,15 +763,15 @@ def test_factor_spd_rejects_nonfinite_and_indefinite(factor_attempts):
     hess = np.eye(6)
     hess[2, 3] = hess[3, 2] = np.nan
     with pytest.raises(NoConvergence):
-        _factor(_upper_band(hess, 1))
+        _factor(_lower_band(hess, 1))
     assert not factor_attempts
     with pytest.raises(NoConvergence, match="every regularization level"):
-        _factor(_upper_band(-2.0 * np.eye(6), 0))
+        _factor(_lower_band(-2.0 * np.eye(6), 0))
     assert len(factor_attempts) == 8
 
 
 def test_factor_spd_raises_on_illegal_argument(monkeypatch):
-    monkeypatch.setattr(supmin.continuation, "dpbtrf", lambda ab, overwrite_ab=0: (ab, -1))
+    monkeypatch.setattr(supmin.continuation, "dpbtrf", lambda ab, lower=0, overwrite_ab=0: (ab, -1))
     with pytest.raises(ValueError, match="argument 1"):
         _factor(np.ones((1, 4)))
 
@@ -798,7 +828,7 @@ def test_tether_shift_does_not_accumulate():
         first = tethered.newton_band(state).copy()
         np.testing.assert_array_equal(tethered.newton_band(state), first)
         want = tethered._chain(fv) * stage.newton_band(stage.grad_state(x, lu, fv))
-    want[-1] += 1.0 / op.n_interior
+    want[0] += 1.0 / op.n_interior  # the diagonal row of the lower band
     np.testing.assert_allclose(first, want, rtol=1e-13, atol=0.0)
 
 
@@ -827,7 +857,7 @@ def test_nonfinite_newton_system_raises_before_factoring(factor_attempts):
 
 
 def test_solve_spd_raises_on_illegal_argument(monkeypatch):
-    monkeypatch.setattr(supmin.continuation, "dpbtrs", lambda factor, rhs: (rhs, -2))
+    monkeypatch.setattr(supmin.continuation, "dpbtrs", lambda factor, rhs, lower=0: (rhs, -2))
     with pytest.raises(ValueError, match="dpbtrs: illegal value in argument 2"):
         _solve_spd(np.ones((1, 4)), np.ones(4))
 

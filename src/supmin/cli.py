@@ -6,10 +6,10 @@ the same config reproduces every byte.
 
 ``sweep`` parses every config first, then runs them in forked worker
 processes: one worker per usable CPU, capped by the number of distinct
-configs.  Its outputs are byte-identical to ``run`` on each config.  Every
-solve of ``run`` and ``sweep`` runs with scipy's OpenBLAS on one thread (the
-banded Cholesky of the Newton steps is fastest there), and the caller's
-thread count is restored after it.
+configs.  Its outputs are byte-identical to ``run`` on each config.  ``run``
+and ``sweep`` pin OpenBLAS to one thread once (fastest for the banded Cholesky)
+and then restore the caller's count; ``sweep`` pins before it forks, so no
+worker makes a thread-count call, which after a fork rebuilds OpenBLAS's pool.
 """
 
 import argparse
@@ -189,21 +189,20 @@ def _oracle_for_config(cfg, supremand):
 
 def _run_single(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    with _one_blas_thread():
-        est = _solve_from_config(cfg)
-        report = est.report_
-        oracle_row = _oracle_for_config(cfg, est.supremand)
-        _check_report(cfg, report)
-        _write_report(out_dir, cfg, report, oracle_row)
-        _write_fields(os.path.join(out_dir, "fields.dat"), est.operator_, report)
-        if oracle_row is not None:
-            _write_text(out_dir, "oracle.txt", _oracle_text(*oracle_row))
-    return report
+    est = _solve_from_config(cfg)
+    report = est.report_
+    oracle_row = _oracle_for_config(cfg, est.supremand)
+    _check_report(cfg, report)
+    _write_report(out_dir, cfg, report, oracle_row)
+    _write_fields(os.path.join(out_dir, "fields.dat"), est.operator_, report)
+    if oracle_row is not None:
+        _write_text(out_dir, "oracle.txt", _oracle_text(*oracle_row))
 
 
 def cmd_run(args):
     cfg = _apply_overrides(load_config(args.config), args)
-    _run_single(cfg, args.out)
+    with _one_blas_thread():
+        _run_single(cfg, args.out)
     return EXIT_OK
 
 
@@ -220,7 +219,8 @@ def _scipy_openblas():
 def _one_blas_thread():
     """Run the block on one OpenBLAS thread and give the caller its thread count back.
 
-    Does nothing where scipy ships no OpenBLAS with a thread-count API.
+    Entered once per command, never in a sweep worker (module docstring); does
+    nothing where scipy ships no OpenBLAS with a thread-count API.
     """
     lib = _scipy_openblas()
     get_threads = getattr(lib, "scipy_openblas_get_num_threads", None)
@@ -246,7 +246,7 @@ def _usable_cpus():
 
 
 def _sweep_pool(workers):
-    """Process pool of forked workers; each solve in one runs on one BLAS thread (_run_single).
+    """Process pool of forked workers; each inherits its parent's one-thread BLAS pin.
 
     The start method is named because fork is not the default everywhere: a
     spawned or forkserver worker re-imports numpy and scipy, which costs more
@@ -278,7 +278,7 @@ def cmd_sweep(args):
     # a config listed twice shares its subdirectory, so it is solved once
     # (two workers writing one report.txt would race)
     jobs = dict(zip(keys, cfgs))
-    with _sweep_pool(min(len(jobs), _usable_cpus())) as pool:
+    with _one_blas_thread(), _sweep_pool(min(len(jobs), _usable_cpus())) as pool:
         futures = {key: pool.submit(_sweep_item, cfg, os.path.join(args.out, key))
                    for key, cfg in jobs.items()}
         results = {key: future.result() for key, future in futures.items()}

@@ -527,14 +527,14 @@ def test_blas_pin_without_library_is_noop(monkeypatch, found):
     assert count() == before
 
 
-def solve_thread_counts(tmp_path, monkeypatch, blas_threads, command):
-    """OpenBLAS thread count at each solve of a CLI run or a two-config sweep."""
+def solve_thread_counts(tmp_path, monkeypatch, count, command):
+    """count() at each solve of a CLI run or a two-config sweep, in the solving process."""
     log = tmp_path / "threads.log"
     solve = supmin.cli._solve_from_config
 
     def logged_solve(cfg):
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{blas_threads()}\n")
+            fh.write(f"{count()}\n")
         return solve(cfg)
 
     monkeypatch.setattr(supmin.cli, "_solve_from_config", logged_solve)
@@ -556,6 +556,27 @@ def test_sweep_worker_uses_one_blas_thread(tmp_path, monkeypatch, blas_threads):
     caller = blas_threads()
     assert solve_thread_counts(tmp_path, monkeypatch, blas_threads, "sweep") == ["1", "1"]
     assert blas_threads() == caller
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-process thread list")
+@pytest.mark.usefixtures("blas_threads")
+def test_sweep_worker_runs_no_blas_pool_thread(tmp_path, monkeypatch):
+    # the caller runs two BLAS threads; a thread-count call in a worker, after
+    # the fork, would rebuild OpenBLAS's pool there and leave a second,
+    # spin-waiting thread beside the solve
+    def os_threads():
+        return len(os.listdir("/proc/self/task"))
+
+    assert solve_thread_counts(tmp_path, monkeypatch, os_threads, "sweep") == ["1", "1"]
+
+
+def test_failing_command_restores_the_callers_blas_threads(tmp_path, blas_threads):
+    good = write(tmp_path, "good.cfg", AFFINE_CFG)
+    strict = write(tmp_path, "strict.cfg", SYMMETRIC_CFG + "check.r_harmonic = 1e-30\n")
+    assert main(["run", "--config", strict, "--out", str(tmp_path / "run")]) == 4
+    assert blas_threads() == 2
+    assert sweep(tmp_path / "sweep", [good, strict]) == 4
+    assert blas_threads() == 2
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are Linux's")

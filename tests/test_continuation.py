@@ -499,11 +499,13 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_residual_floor_costs_no_halvings(monkeypatch):
+def test_residual_floor_evaluation_budget(monkeypatch):
     # newton_tol = 1e-16 is below every stage's residual floor: intermediate
     # stages end at energy accuracy instead of running to MAX_NEWTON, and
     # steps at the objective's roundoff are judged by the residual, so only
-    # the last stage reaches its floor
+    # the last stage reaches its floor. Its floor steps do spend halvings, and
+    # how many moves with the BLAS kernel's roundoff (95 evaluations under
+    # SkylakeX kernels, 91 under Haswell), so the bounds leave room for that.
     grid, op, F, u0 = make_1d_problem(nodes=41)
     factors = _count_calls(monkeypatch, supmin.continuation, "_factor_spd")
     evaluations = _count_calls(monkeypatch, _StageProblem, "evaluate")

@@ -36,6 +36,12 @@ continuation report keeps the StageResult of every stage it ran, and each stage
 starts its Newton loop from the pair of the field before it instead of
 evaluating that field again.
 
+Work is done once where its inputs change.  Once per solve: the clamp's part of
+L_h u and the zero floor (_clamp_invariants), for the cold start and every stage.
+Once per stage: the band and factor buffers.  Once per trial point: L_h u and F
+(evaluate), and log(F/m), shared by objective, gradient and Newton blocks until
+a rescale changes m.  Stages count evaluations, dpbtrf attempts and shift lifts.
+
 A stage stops by one of two rules.  The stage that ends the run (the last
 scheduled exponent, or the first whose bracket is narrower than
 bracket_stop) is driven until its residual drops below newton_tol or reaches
@@ -98,6 +104,11 @@ def _evaluate(op, supremand, u):
     return lu, supremand.eval_field(op.eq_coords(), lu)
 
 
+def _clamp_invariants(op, supremand, clamp):
+    """What every stage of one solve shares: the clamp's part of L_h u, flat, and _zero_floor."""
+    return op.clamp_part(clamp), _zero_floor(op, supremand, clamp)
+
+
 def _zero_floor(op, supremand, clamp):
     """Cost level of pure operator roundoff on the scale of the clamped data.
 
@@ -137,21 +148,23 @@ def _log_ratio(fv, m):
 def _ratio_power(fv, m, expo, log_ratio=None):
     """(F_i/m)^expo with 0^expo := 0 for expo != 0 and 0^0 := 1, evaluated through logs.
 
-    log_ratio, when given, is _log_ratio(fv, m) already at hand.  For negative
-    exponents, costs many orders below the scale are treated as zero so the
-    huge reciprocal powers (whose prefactors vanish even faster) cannot poison
-    the arithmetic.
+    log_ratio, when given, is _log_ratio(fv, m) already at hand.  A positive
+    exponent needs no mask: exp(-inf) = 0 where F_i <= 0, and NaN stays NaN.
+    For negative exponents, costs many orders below the scale count as zero, so
+    the huge reciprocal powers cannot poison the arithmetic.
     """
-    floor = 0.0 if expo >= 0.0 else m * 1e-250
     if log_ratio is None:
         log_ratio = _log_ratio(fv, m)
     out = np.exp(expo * log_ratio)
+    if expo > 0.0:
+        return out
+    floor = 0.0 if expo == 0.0 else m * 1e-250
     return np.where(fv > floor, out, 0.0 if expo != 0.0 else 1.0)
 
 
 @dataclass
 class StageResult:
-    """What one exponent-p stage returns: its field, costs, dual field and bracket."""
+    """What one exponent-p stage returns: its field, costs, dual field, bracket and counters."""
 
     p: float
     u: np.ndarray       # full nodal field, the stage minimizer
@@ -165,6 +178,9 @@ class StageResult:
     stalled: bool       # accepted at the residual floor above its tol
     cv: float           # coefficient of variation of fv on the active set of f
     degenerate: bool    # peak at or below the zero floor; then f = 0 and cv = 0
+    evaluations: int    # (L_h u, F) evaluations the stage made itself
+    factorizations: int # dpbtrf attempts: one per Newton step plus the lifts
+    lifts: int          # diagonal shift lifts, each after a failed dpbtrf
 
 
 @dataclass
@@ -181,7 +197,7 @@ class _State:
 class _StageProblem:
     """One fixed-exponent stage: peak-rescaled objective, gradient, Newton band, residual."""
 
-    def __init__(self, op, supremand, clamp, p, bracket_stop=None):
+    def __init__(self, op, supremand, clamp, p, bracket_stop=None, invariants=None):
         if not 1.0 <= p < math.inf:
             raise ValueError(f"p must be finite and >= 1, got {p}")
         self.op = op
@@ -189,25 +205,33 @@ class _StageProblem:
         self.p = float(p)
         self.coords = op.eq_coords()
         self.n_eq = op.n_eq
-        self.clamp_part = op.clamp_part(clamp)
+        self.clamp_part, self.zero_floor = invariants or _clamp_invariants(op, supremand, clamp)
         self.op_scale = op.operator_scale()
-        self.zero_floor = _zero_floor(op, supremand, clamp)
         self.scale = None
         self.bracket_stop = bracket_stop   # set on intermediate stages only
-        self._band = self._factor = None   # band buffers, made on the first Newton step
+        self._band = self._band_flat = self._factor = None   # made on the first Newton step
+        self._logs = (None, None, None)    # (fv, scale, log(F/scale)) of the last trial point
+        self.evaluations = self.factorizations = self.lifts = 0
 
     def evaluate(self, x):
         """(L_h u, nodal costs) of the field with interior dofs x."""
+        self.evaluations += 1
         lu = self.op.apply_dofs(x, self.clamp_part)
         return lu, self.F.eval_field(self.coords, lu)
 
+    def _log_ratio_at(self, fv):
+        """log(F/m) at the current scale m: one computation per trial point and scale."""
+        if self._logs[0] is not fv or self._logs[1] != self.scale:
+            self._logs = (fv, self.scale, _log_ratio(fv, self.scale))
+        return self._logs[2]
+
     def objective(self, x, fv):
-        return float(_ratio_power(fv, self.scale, self.p).sum()) / self.n_eq
+        return float(_ratio_power(fv, self.scale, self.p, self._log_ratio_at(fv)).sum()) / self.n_eq
 
     def grad_state(self, x, lu, fv):
         gv = self.F.grad_field(self.coords, lu)
         p, m = self.p, self.scale
-        log_ratio = _log_ratio(fv, m)
+        log_ratio = self._log_ratio_at(fv)
         r_pm1 = _ratio_power(fv, m, p - 1.0, log_ratio)
         w = (p / (self.n_eq * m)) * r_pm1[:, None] * gv
         grad = _csr_matvec(self.op.free_matrix_t, w.ravel())
@@ -242,8 +266,8 @@ class _StageProblem:
         pattern = self.op.hessian_pattern
         if self._band is None:
             self._band = np.zeros((pattern.bandwidth + 1, pattern.n_dofs), order="F")
-        flat = self._band.T.reshape(-1)  # a view: the band is column-major
-        flat[pattern.band_pos] = _csr_matvec(pattern.products, blocks.ravel())
+            self._band_flat = self._band.T.reshape(-1)  # a view: the band is column-major
+        self._band_flat[pattern.band_pos] = _csr_matvec(pattern.products, blocks.ravel())
         return self._band
 
     def newton_factor(self, state):
@@ -251,7 +275,10 @@ class _StageProblem:
         band = self.newton_band(state)
         if self._factor is None:
             self._factor = np.empty_like(band, order="F")
-        return _factor_spd(band, self._factor, self.op.hessian_pattern.band_pos)
+        factor, lifts = _factor_spd(band, self._factor, self.op.hessian_pattern.band_pos)
+        self.factorizations += 1 + lifts
+        self.lifts += lifts
+        return factor
 
     def residual(self, state):
         """||L^T w|| relative to the operator scale and the weight field size.
@@ -326,18 +353,19 @@ def _factor_spd(band, factor, stored):
     Fortran-ordered buffer of the same shape, shifts the diagonal (row 0)
     there, and dpbtrf factors it in place.  dpbtrf reports a non-positive
     leading minor as info > 0, which lifts the shift until the band factors.
-    L comes back in the same band storage, as _solve_spd reads it.
+    Returns (L, lifts): L in the same band storage, as _solve_spd reads it,
+    and the number of lifts, the dpbtrf attempts beyond the first.
     """
-    if not np.all(np.isfinite(band.T.reshape(-1)[stored])):
+    if not np.isfinite(band.T.reshape(-1)[stored]).all():
         raise NoConvergence("Newton system has non-finite entries")
-    scale = max(float(np.max(np.abs(band[0]))), 1e-300)
+    scale = max(float(np.abs(band[0]).max()), 1e-300)
     shift = 1e-14 * scale
-    for _ in range(8):
+    for lifts in range(8):
         np.copyto(factor, band)
         factor[0] += shift
         factor, info = dpbtrf(factor, lower=1, overwrite_ab=1)
         if info == 0:
-            return factor
+            return factor, lifts
         if info < 0:
             raise ValueError(f"dpbtrf: illegal value in argument {-info}")
         shift *= 100.0
@@ -406,11 +434,12 @@ def _newton_loop(problem, x, tol, label, start=None):
             prev_res = res
 
             step = _solve_spd(problem.newton_factor(state), -state.grad)
-            if step @ state.grad >= 0.0:
-                step = -step if step @ state.grad > 0.0 else -state.grad
+            slope = float(state.grad @ step)
+            if slope >= 0.0:
+                step = -step if slope > 0.0 else -state.grad
+                slope = float(state.grad @ step)
 
             t = 1.0
-            slope = float(state.grad @ step)
             at_roundoff = ARMIJO_C1 * abs(slope) <= OBJ_ROUNDOFF * problem.p * abs(obj)
             trial = None
             for halvings in range(MAX_BACKTRACKS):
@@ -421,7 +450,7 @@ def _newton_loop(problem, x, tol, label, start=None):
                     trial = problem.grad_state(x_try, lu, fv)
                     accepted = problem.residual(trial) < res
                 else:
-                    accepted = np.isfinite(obj_try) and obj_try <= obj + ARMIJO_C1 * t * slope
+                    accepted = math.isfinite(obj_try) and obj_try <= obj + ARMIJO_C1 * t * slope
                 if accepted:
                     x = x_try
                     break
@@ -472,6 +501,8 @@ def minimize_power_energy(
     tol=NEWTON_TOL,
     bracket_stop=None,
     warm_eval=None,
+    *,
+    _invariants=None,
 ):
     """Minimize the exponent-p power-mean energy over the clamped affine space.
 
@@ -489,6 +520,7 @@ def minimize_power_energy(
     starts from that pair instead of evaluating warm_start again.  A p
     outside [1, inf), a tol that is not positive and finite, or a
     bracket_stop that is neither None nor positive and finite is a ValueError.
+    _invariants is the solve's _clamp_invariants, computed once for all its stages.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -496,7 +528,7 @@ def minimize_power_energy(
         raise ValueError(f"bracket_stop must be None or positive and finite, got {bracket_stop}")
     clamp = np.asarray(clamp, dtype=np.float64)
     u0 = clamp if warm_start is None else np.asarray(warm_start, dtype=np.float64)
-    problem = _StageProblem(op, supremand, clamp, p, bracket_stop)
+    problem = _StageProblem(op, supremand, clamp, p, bracket_stop, _invariants)
     x, iters, grad_rel, stalled, lu, fv = _newton_loop(
         problem, op.interior_dofs(u0), tol, label=f"stage p={p:g}", start=warm_eval
     )
@@ -513,7 +545,8 @@ def minimize_power_energy(
         cv = coefficient_of_variation(fv[active_set(f)[1]])
     return StageResult(p=problem.p, u=op.with_interior_dofs(clamp, x), lu=lu, fv=fv, f=f,
                        energy=energy, peak=peak, iterations=iters, grad_rel=grad_rel,
-                       stalled=stalled, cv=cv, degenerate=degenerate)
+                       stalled=stalled, cv=cv, degenerate=degenerate, evaluations=problem.evaluations,
+                       factorizations=problem.factorizations, lifts=problem.lifts)
 
 
 def dual_field(op, supremand, lu, fv, p, energy):
@@ -553,7 +586,7 @@ class SolveReport:
                 raise AssertionError(f"estimate {self.e_inf} above stage peak {row.peak}")
 
 
-def cold_start(op, supremand, clamp):
+def cold_start(op, supremand, clamp, *, _invariants=None):
     """Start field: the exponent-1 stage from the clamp, the mean-cost minimizer.
 
     It is an ordinary stage, run to NEWTON_TOL under the same stop rules as
@@ -561,7 +594,7 @@ def cold_start(op, supremand, clamp):
     makes the continuation limit independent of the start either way.
     Returns the stage's StageResult, with its field's L_h u and costs.
     """
-    return minimize_power_energy(op, supremand, clamp, 1.0)
+    return minimize_power_energy(op, supremand, clamp, 1.0, _invariants=_invariants)
 
 
 def continuation_solve(
@@ -596,14 +629,15 @@ def continuation_solve(
     for name, value in (("newton_tol", newton_tol), ("bracket_stop", bracket_stop)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    invariants = _clamp_invariants(op, supremand, clamp)
     if initial is None:
-        start = cold_start(op, supremand, clamp)
+        start = cold_start(op, supremand, clamp, _invariants=invariants)
         u, lu, fv, degenerate = start.u, start.lu, start.fv, start.degenerate
     else:
         initial = check_field(initial, op.grid.n_nodes, n_comp, name="initial field")
         u = op.with_interior_dofs(clamp, op.interior_dofs(initial))
         lu, fv = _evaluate(op, supremand, u)
-        degenerate = float(np.max(fv)) <= _zero_floor(op, supremand, clamp)
+        degenerate = float(np.max(fv)) <= invariants[1]
 
     rows = []
     for p in () if degenerate else sched:
@@ -611,7 +645,7 @@ def continuation_solve(
         # each starts from the L_h u and costs of its warm start at hand
         rows.append(minimize_power_energy(op, supremand, clamp, p, warm_start=u, tol=newton_tol,
                                           bracket_stop=bracket_stop if p < sched[-1] else None,
-                                          warm_eval=(lu, fv)))
+                                          warm_eval=(lu, fv), _invariants=invariants))
         last = rows[-1]
         u, lu, fv, degenerate = last.u, last.lu, last.fv, last.degenerate
         log.info(

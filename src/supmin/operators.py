@@ -91,7 +91,8 @@ class DiscreteOperator:
 
     @functools.cached_property
     def _operator_scale(self):
-        return float(np.max(np.abs(self.free_matrix).sum(axis=0)))
+        mat = self.free_matrix   # column sums in stored order, as sum(axis=0) adds them
+        return float(np.bincount(mat.indices, np.abs(mat.data), mat.shape[1]).max())
 
     @functools.cached_property
     def free_matrix_t(self):
@@ -106,10 +107,11 @@ class DiscreteOperator:
 
 def _csr_matvec(mat, x):
     """mat @ x for a float64 CSR matrix and vector: the kernel `@` runs, without its dispatch."""
-    if x.shape != (mat.shape[1],):  # the kernel reads x without a bounds check
-        raise DimensionMismatch(f"vector has shape {x.shape}, expected ({mat.shape[1]},)")
-    out = np.zeros(mat.shape[0])
-    _sparsetools.csr_matvec(mat.shape[0], mat.shape[1], mat.indptr, mat.indices, mat.data, x, out)
+    n_rows, n_cols = mat.shape
+    if x.shape != (n_cols,):  # the kernel reads x without a bounds check
+        raise DimensionMismatch(f"vector has shape {x.shape}, expected ({n_cols},)")
+    out = np.zeros(n_rows)
+    _sparsetools.csr_matvec(n_rows, n_cols, mat.indptr, mat.indices, mat.data, x, out)
     return out
 
 

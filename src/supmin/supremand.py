@@ -50,6 +50,11 @@ def _point_array(x):
     return None if x is None else np.atleast_2d(np.asarray(x, dtype=np.float64))
 
 
+def _value_rows(values):
+    values = np.asarray(values, dtype=np.float64)
+    return values if values.ndim >= 2 else np.atleast_2d(values)
+
+
 class CustomSupremand(Supremand):
     """Wrap user-supplied pointwise callables (eval, grad, hess) with a declared c.
 
@@ -65,7 +70,7 @@ class CustomSupremand(Supremand):
         self.n_components = int(n_components)
 
     def _each(self, fn, points, values):
-        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+        values = _value_rows(values)
         return np.array([fn(None if points is None else points[k], values[k])
                          for k in range(len(values))], dtype=np.float64)
 
@@ -114,7 +119,8 @@ class WeightedPowerNorm(Supremand):
     The squared Euclidean norm (q = 2, eps = 0) is evaluated in closed form:
     F = alpha * sum xi_k^2, F_xi = alpha * 2 xi, F_xixi = alpha * 2 I.  These
     are exactly the values the general formulas give at q = 2 (s^1 = s,
-    S^0 = 1, a zero rank-one term), without their powers and masks.
+    S^0 = 1, a zero rank-one term), without their powers and masks; with a
+    constant alpha the Hessian field is kept, read-only, per (shape, alpha).
 
     With eps = 0 the cost is 2-homogeneous (F, F_xi, F_xixi of degrees 2, 1,
     0), so a row of xi whose scale max|xi_k| would take the general formulas'
@@ -130,7 +136,7 @@ class WeightedPowerNorm(Supremand):
             raise ValueError("q < 2 requires a smoothing eps > 0")
         self.q = q
         self.eps = float(eps)
-        self._quadratic = q == 2.0 and self.eps == 0.0
+        self._hess_cache = (None, None)   # (shape and alpha, q = 2 Hessian field)
         bound = 2.0 ** (1000.0 / (2.0 * q - 2.0)) if self.eps == 0.0 else np.inf
         self._unit_range = (1.0 / bound, bound)
         self.alpha = alpha
@@ -148,6 +154,10 @@ class WeightedPowerNorm(Supremand):
         c_lower = n ** max(0.0, 1.0 - 2.0 / q) / a_min
         c_upper = 2.0 * a_max * n ** max(0.0, (2.0 - q) / q)
         self.c = max(c_lower, c_upper)
+
+    @property
+    def _quadratic(self):
+        return self.q == 2.0 and self.eps == 0.0
 
     def _weighted(self, points, field):
         """alpha(x) * field, with the nodes along the first axis of field.
@@ -167,25 +177,29 @@ class WeightedPowerNorm(Supremand):
         return s, (s ** (self.q / 2.0)).sum(axis=1)
 
     def eval_field(self, points, values):
-        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+        values = _value_rows(values)
         if self._quadratic:
             return self._weighted(points, (values**2).sum(axis=1))
         return self._homogeneous(self._eval_general, 2, points, values)
 
     def grad_field(self, points, values):
-        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+        values = _value_rows(values)
         if self._quadratic:
             return self._weighted(points, 2.0 * values)
         return self._homogeneous(self._grad_general, 1, points, values)
 
     def hess_field(self, points, values):
-        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-        if self._quadratic:
+        values = _value_rows(values)
+        if not self._quadratic:
+            return self._homogeneous(self._hess_general, 0, points, values)
+        key = None if callable(self.alpha) else (values.shape, float(self.alpha))
+        if key is None or key != self._hess_cache[0]:
             m, n = values.shape
             hess = np.zeros((m, n * n))
             hess[:, :: n + 1] = 2.0   # the diagonal of each flattened (n, n) block
-            return self._weighted(points, hess.reshape(m, n, n))
-        return self._homogeneous(self._hess_general, 0, points, values)
+            self._hess_cache = (key, self._weighted(points, hess.reshape(m, n, n)))
+            self._hess_cache[1].flags.writeable = key is None   # a kept field is read-only
+        return self._hess_cache[1]
 
     def _homogeneous(self, general, degree, points, values):
         """general(points, values) of homogeneity degree, out-of-range rows at unit scale."""
@@ -257,7 +271,7 @@ def duality_map_field(supremand, points, values):
     Each image row has magnitude F(x, xi) and points along the cost gradient.
     F_xi vanishes at the origin (and where it underflows), nowhere else.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    values = _value_rows(values)
     f = supremand.eval_field(points, values)
     g = supremand.grad_field(points, values)
     ng = np.linalg.norm(g, axis=1)

@@ -670,7 +670,8 @@ def test_check_invariants_raises_under_optimize():
     code = (
         "from supmin.continuation import SolveReport, StageResult\n"
         "row = StageResult(p=2.0, u=None, lu=None, fv=None, f=None, energy=5.0, peak=6.0,"
-        " iterations=1, grad_rel=0.0, stalled=False, cv=0.0, degenerate=False)\n"
+        " iterations=1, grad_rel=0.0, stalled=False, cv=0.0, degenerate=False, evaluations=2,"
+        " factorizations=1, lifts=0)\n"
         "report = SolveReport(rows=[row], u=None, f=None, e_inf=100.0, bracket=(5.0, 6.0))\n"
         "try:\n"
         "    report.check_invariants()\n"

@@ -506,13 +506,155 @@ def test_residual_floor_evaluation_budget(monkeypatch):
     # the last stage reaches its floor. Its floor steps do spend halvings, and
     # how many moves with the BLAS kernel's roundoff (95 evaluations under
     # SkylakeX kernels, 91 under Haswell), so the bounds leave room for that.
+    # The evaluations are the stages' own counters, the cold start's included.
     grid, op, F, u0 = make_1d_problem(nodes=41)
     factors = _count_calls(monkeypatch, supmin.continuation, "_factor_spd")
-    evaluations = _count_calls(monkeypatch, _StageProblem, "evaluate")
     rep = continuation_solve(op, F, u0, p_max=64.0, newton_tol=1e-16)
     assert len(factors) <= 60
-    assert len(evaluations) <= 100
+    evaluations = cold_start(op, F, u0).evaluations + sum(row.evaluations for row in rep.rows)
+    assert 0 < evaluations <= 100
     assert not any(row.stalled for row in rep.rows[:-1])
+
+
+def _ladder_41():
+    """The 41x41 ladder case: q = 2, identity tensor, data sin(pi x) cos(pi y) + xy."""
+    grid = Grid((41, 41))
+    xy = grid.coords()
+    clamp = (np.sin(np.pi * xy[:, 0]) * np.cos(np.pi * xy[:, 1]) + xy[:, 0] * xy[:, 1])[:, None]
+    return assemble_operator(grid, identity_tensor(2, 1)), WeightedPowerNorm(1, q=2.0), clamp, 512.0
+
+
+@pytest.mark.parametrize("case", ["ladder41", "nodes201"])
+def test_stage_counters_match_the_work_done(case, monkeypatch, factor_attempts):
+    # each stage, the cold start included, reports its dpbtrf attempts, one
+    # per Newton step plus one per shift lift, and its (L_h u, F) evaluations,
+    # each one apply_dofs call; counted here by the calls themselves
+    if case == "ladder41":
+        op, F, clamp, p_max = _ladder_41()
+    else:
+        op, F, clamp = make_1d_problem(nodes=201)[1:]
+        p_max = supmin.continuation.P_MAX
+    applies = _count_calls(monkeypatch, type(op), "apply_dofs")
+    stage = supmin.continuation.minimize_power_energy
+    stages = []
+
+    def recording(*args, **kwargs):
+        counts = len(factor_attempts), len(applies)
+        row = stage(*args, **kwargs)
+        stages.append((row, len(factor_attempts) - counts[0], len(applies) - counts[1]))
+        return row
+
+    monkeypatch.setattr(supmin.continuation, "minimize_power_energy", recording)
+    rep = continuation_solve(op, F, clamp, p_max=p_max)
+    assert [row.p for row, *_ in stages] == [1.0] + [row.p for row in rep.rows]
+    for row, attempts, evaluations in stages:
+        assert row.factorizations == attempts == row.iterations + row.lifts
+        assert row.evaluations == evaluations >= row.iterations
+    assert sum(row.iterations for row, *_ in stages) > len(stages)
+
+
+def test_log_ratio_is_computed_once_per_trial_point_and_scale(monkeypatch):
+    # objective and grad_state at one point and scale share one log(F/m); a
+    # rescale between them computes it again, at the new scale
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    problem = _StageProblem(op, F, u0, 8.0)
+    x = op.interior_dofs(u0)
+    calls = _count_calls(monkeypatch, supmin.continuation, "_log_ratio")
+    with np.errstate(divide="ignore"):
+        lu, fv = problem.evaluate(x)
+        peak = float(fv.max())
+        problem.scale = peak
+        problem.objective(x, fv)
+        problem.grad_state(x, lu, fv)
+        assert len(calls) == 1
+        problem.scale = 2.0 * peak
+        problem.objective(x, fv)
+        problem.scale = peak
+        state = problem.grad_state(x, lu, fv)
+        assert len(calls) == 3
+        fv2 = problem.evaluate(x)[1]   # the same field, a new trial point
+        problem.objective(x, fv2)
+        assert len(calls) == 4
+        monkeypatch.undo()
+        np.testing.assert_array_equal(state.log_ratio, supmin.continuation._log_ratio(fv, peak))
+        np.testing.assert_array_equal(state.grad, _scaled_gradient(op, F, u0, 8.0, peak))
+
+
+def test_solve_invariants_are_built_once_per_solve(monkeypatch):
+    # the clamp's part of L_h u and the zero floor are built once per solve,
+    # cold start included, from that solve's clamp: uniqueness_check's two
+    # solves and a solve on another clamp each build their own
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    built = _count_calls(monkeypatch, supmin.continuation, "_clamp_invariants")
+    held = []
+    init = _StageProblem.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        held.append((self.clamp_part, self.zero_floor))
+
+    monkeypatch.setattr(_StageProblem, "__init__", recording)
+    other = 2.0 * u0 + 0.1
+    zeros = np.zeros_like(u0)
+    assert supmin.verify.uniqueness_check(op, F, u0, start_a=zeros) <= 1e-12
+    n_unique = len(held)
+    rep = continuation_solve(op, F, other, p_max=16.0)
+    assert len(built) == 3
+    # the second solve's cold start and stages hold its one pair of invariants
+    assert len(held) == n_unique + 1 + len(rep.rows)
+    others = held[n_unique:]
+    np.testing.assert_array_equal(others[0][0], op.clamp_part(other))
+    assert others[0][1] == _zero_floor(op, F, other)
+    assert all(part is others[0][0] for part, _ in others)
+    # uniqueness_check's two solves, from initial= and from the cold start,
+    # hold one pair each, built from the same clamp
+    assert not any(part is others[0][0] for part, _ in held[:n_unique])
+    assert len({id(part) for part, _ in held[:n_unique]}) == 2
+    for part, floor in held[:n_unique]:
+        np.testing.assert_array_equal(part, op.clamp_part(u0))
+        assert floor == _zero_floor(op, F, u0)
+
+
+def test_nan_cost_makes_the_objective_nan():
+    # a NaN nodal cost is no zero weight: the objective is NaN, so Armijo
+    # rejects the trial instead of accepting a point it cannot evaluate
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(_ratio_power(np.array([1.0, np.nan]), 1.0, 4.0),
+                                      [1.0, np.nan])
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    problem = _StageProblem(op, F, u0, 4.0)
+    problem.scale = 1.0
+    fv = np.full(op.n_eq, 0.5)
+    fv[op.n_eq // 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(problem.objective(None, fv))
+
+
+def test_line_search_rejects_a_trial_with_nan_costs():
+    # the first trial point of the first step has one NaN cost: it is
+    # rejected, the step is halved, and no state is built on NaN costs
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+
+    class NaNTrial(_StageProblem):
+        calls = 0
+
+        def evaluate(self, x):
+            lu, fv = super().evaluate(x)
+            self.calls += 1
+            if self.calls == 2:
+                fv = fv.copy()
+                fv[fv.size // 2] = np.nan
+            return lu, fv
+
+        def grad_state(self, x, lu, fv):
+            self.states.append(fv)
+            return super().grad_state(x, lu, fv)
+
+    problem = NaNTrial(op, F, u0, 4.0)
+    problem.states = []
+    x, iters, *_ = _newton_loop(problem, op.interior_dofs(u0), 1e-9, "nan trial")
+    assert problem.calls > iters + 1
+    assert all(np.all(np.isfinite(fv)) for fv in problem.states)
 
 
 @pytest.mark.parametrize("start", ["cold", "initial"])
@@ -677,7 +819,7 @@ def _lower_band(dense, bw):
 
 def _factor(band):
     """_factor_spd of band into a fresh buffer, every band entry counted as stored."""
-    return _factor_spd(band, np.empty(band.shape, order="F"), slice(None))
+    return _factor_spd(band, np.empty(band.shape, order="F"), slice(None))[0]
 
 
 @pytest.mark.parametrize("shape,n_comp,tensor,zero_nodes", [
@@ -755,10 +897,19 @@ def test_factor_spd_lifts_singular_hessian(factor_attempts):
     rhs = np.random.default_rng(6).standard_normal(dense.shape[0])
     for band, min_attempts in ((psd, 1), (indefinite, 2)):
         factor_attempts.clear()
-        step = _solve_spd(_factor(band), rhs)
+        factor, lifts = _factor_spd(band, np.empty(band.shape, order="F"), slice(None))
+        step = _solve_spd(factor, rhs)
         assert np.all(np.isfinite(step))
         assert step @ rhs > 0.0
         assert len(factor_attempts) >= min_attempts
+        assert lifts == len(factor_attempts) - 1
+    # a stage counts every attempt, and the lifts among them
+    problem.newton_blocks = lambda state: blocks
+    factor_attempts.clear()
+    problem.newton_factor(None)
+    problem.newton_factor(None)
+    assert problem.lifts >= 2
+    assert problem.factorizations == len(factor_attempts) == 2 + problem.lifts
 
 
 def test_factor_spd_rejects_nonfinite_and_indefinite(factor_attempts):
@@ -787,7 +938,7 @@ def test_stage_steps_reuse_the_band_and_factor_buffers(monkeypatch):
 
     def recording(band, factor, stored):
         out = factor_spd(band, factor, stored)
-        calls.append((band, factor, out))
+        calls.append((band, factor, out[0]))
         return out
 
     monkeypatch.setattr(supmin.continuation, "_factor_spd", recording)

@@ -437,6 +437,42 @@ def test_quadratic_closed_form_matches_general_formulas(n, spatial):
         np.testing.assert_array_equal(closed(points, values), general(points, values))
 
 
+def test_quadratic_hessian_field_is_built_once_and_read_only():
+    # with a constant alpha the q = 2 Hessian field depends only on its shape,
+    # so later calls of that shape return the first one, which is read-only
+    F = WeightedPowerNorm(2, q=2.0, alpha=1.7)
+    values = np.random.default_rng(12).standard_normal((30, 2))
+    first = F.hess_field(None, values)
+    np.testing.assert_array_equal(first, F._hess_general(None, values))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0, 0] = 0.0
+    assert F.hess_field(None, 3.0 * values) is first
+    # another shape gets its own field
+    np.testing.assert_array_equal(F.hess_field(None, values[:5]), F._hess_general(None, values[:5]))
+
+
+def test_quadratic_hessian_field_follows_alpha_and_q():
+    # a changed alpha or q, or a callable alpha, is never served a stored field
+    values = np.random.default_rng(13).standard_normal((30, 2))
+    F = WeightedPowerNorm(2, q=2.0, alpha=1.7)
+    F.hess_field(None, values)
+    F.alpha = 3.0
+    np.testing.assert_array_equal(F.hess_field(None, values),
+                                  WeightedPowerNorm(2, alpha=3.0).hess_field(None, values))
+    F.q = 3.0
+    np.testing.assert_array_equal(F.hess_field(None, values), F._hess_general(None, values))
+    assert not np.array_equal(F._hess_general(None, values), 2.0 * F.alpha * np.eye(2))
+    # the config's affine weight (supremand.alpha = affine:1,0.5,0.25) is a callable
+    F = WeightedPowerNorm(2, q=2.0, alpha=lambda pts: 1.0 + 0.5 * pts[:, 0] + 0.25 * pts[:, 1],
+                          alpha_bounds=(1.0, 1.75))
+    for shift in (0.0, 0.5):
+        points = np.random.default_rng(14).uniform(0.0, 0.5, (30, 2)) + shift
+        hess = F.hess_field(points, values)
+        np.testing.assert_array_equal(hess, F._hess_general(points, values))
+        assert hess.flags.writeable
+
+
 @pytest.mark.parametrize("q", [3.0, 4.0, 8.0])
 def test_general_formulas_are_homogeneous_at_extreme_scales(q):
     # F, F_xi and F_xixi are 2-, 1- and 0-homogeneous; |xi|^(2q - 2) in the

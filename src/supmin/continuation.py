@@ -40,7 +40,9 @@ Work is done once where its inputs change.  Once per solve: the clamp's part of
 L_h u and the zero floor (_clamp_invariants), for the cold start and every stage.
 Once per stage: the band and factor buffers.  Once per trial point: L_h u and F
 (evaluate), and log(F/m), shared by objective, gradient and Newton blocks until
-a rescale changes m.  Stages count evaluations, dpbtrf attempts and shift lifts.
+a rescale changes m; the power mean an intermediate stage's stop test takes is
+the stage's energy if the stage ends at that point.  Stages count evaluations,
+dpbtrf attempts and shift lifts.
 
 A stage stops by one of two rules.  The stage that ends the run (the last
 scheduled exponent, or the first whose bracket is narrower than
@@ -211,6 +213,7 @@ class _StageProblem:
         self.bracket_stop = bracket_stop   # set on intermediate stages only
         self._band = self._band_flat = self._factor = None   # made on the first Newton step
         self._logs = (None, None, None)    # (fv, scale, log(F/scale)) of the last trial point
+        self.power_mean = (None, None)     # (fv, its power mean) of the last settled test
         self.evaluations = self.factorizations = self.lifts = 0
 
     def evaluate(self, x):
@@ -297,10 +300,13 @@ class _StageProblem:
         Only an intermediate stage whose own bracket is still open ends this
         way: its power mean M = m G^(1/p) moved by at most ENERGY_RTOL relative
         (dM/M = dG/(p G)), and a later stage, not this one, reports the result.
+        The power mean computed here is kept with fv as power_mean, for the
+        stage's energy if the loop ends at fv.
         """
         if self.bracket_stop is None or gain > ENERGY_RTOL * self.p * obj:
             return False
-        return not _bracket_closed(_power_mean(fv, self.p), float(fv.max()), self.bracket_stop)
+        self.power_mean = (fv, _power_mean(fv, self.p))
+        return not _bracket_closed(self.power_mean[1], float(fv.max()), self.bracket_stop)
 
 
 class _TetheredProblem(_StageProblem):
@@ -532,8 +538,10 @@ def minimize_power_energy(
     x, iters, grad_rel, stalled, lu, fv = _newton_loop(
         problem, op.interior_dofs(u0), tol, label=f"stage p={p:g}", start=warm_eval
     )
-    with np.errstate(divide="ignore"):
-        energy = _power_mean(fv, p)
+    seen, energy = problem.power_mean
+    if seen is not fv:
+        with np.errstate(divide="ignore"):
+            energy = _power_mean(fv, p)
     peak = float(fv.max())
     degenerate = peak <= problem.zero_floor
     if degenerate:

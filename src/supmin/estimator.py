@@ -8,15 +8,59 @@ values on the two clamped node layers pin the problem, and the fitted
 attributes expose the limiting field, its dual field, and the value bracket.
 """
 
+import dataclasses
 import inspect
+from collections import OrderedDict
 
 import numpy as np
 
 from .continuation import BRACKET_STOP, NEWTON_TOL, P_MAX, continuation_solve
 from .grid import Grid
-from .operators import assemble_operator
+from .operators import _read_only, assemble_operator
 from .supremand import Supremand, WeightedPowerNorm
 from .tensors import EllipticTensor, identity_tensor
+
+# the operators of the most recent problem shapes, least recently used first
+_OPERATORS = OrderedDict()
+_OPERATORS_KEPT = 4
+
+
+def _operator_key(grid, tensor):
+    """The grid's shape and extent bits and the tensor's entries bits, mode and lam.
+
+    That is everything assembly reads, and the rest of the tensor the operator carries.
+    """
+    extents = np.array(grid.lo + grid.hi, dtype=np.float64).tobytes()   # -0.0 is not 0.0
+    entries = tensor.entries
+    return (grid.shape, extents, entries.shape, entries.tobytes(), tensor.mode,
+            np.float64(tensor.lam).tobytes())
+
+
+def _stored_operator(grid, tensor):
+    """The assembled operator of (grid, tensor), shared by every fit of the same problem shape.
+
+    A callable tensor is assembled afresh on every call.  A constant one is
+    assembled once per key, from a read-only copy of its entries, and kept
+    for the _OPERATORS_KEPT most recently used keys; the kept operator's index
+    and CSR arrays are read-only, so no caller can change what the next fit reads.
+    """
+    if not tensor.is_constant:
+        return assemble_operator(grid, tensor)
+    key = _operator_key(grid, tensor)
+    op = _OPERATORS.get(key)
+    if op is None:
+        entries = tensor.entries.copy()
+        _read_only(entries)
+        op = assemble_operator(grid, dataclasses.replace(tensor, entries=entries))
+        _read_only(op.eq_idx, op.interior_idx, op.clamp_idx, op.square_rows,
+                   *(arr for mat in (op.free_matrix, op.clamp_matrix)
+                     for arr in (mat.data, mat.indices, mat.indptr)))
+        _OPERATORS[key] = op
+        if len(_OPERATORS) > _OPERATORS_KEPT:
+            _OPERATORS.popitem(last=False)
+    else:
+        _OPERATORS.move_to_end(key)
+    return op
 
 
 class SupremalMinimizer:
@@ -51,7 +95,9 @@ class SupremalMinimizer:
     f_ : ndarray, dual field on the equation nodes
     e_inf_ : float, bracket-midpoint estimate of the minimal sup cost
     report_ : SolveReport with the per-exponent trace and verification residuals
-    grid_, operator_ : the assembled discretization
+    grid_, operator_ : the assembled discretization; for a constant tensor,
+        operator_ is shared with every fit of the same grid and tensor entries,
+        and its arrays are read-only
     """
 
     def __init__(
@@ -129,7 +175,7 @@ class SupremalMinimizer:
         supremand = self._build_supremand()
         if callable(X):
             X = X(grid.coords())
-        op = assemble_operator(grid, tensor)
+        op = _stored_operator(grid, tensor)
         report = continuation_solve(op, supremand, X, p_max=self.p_max,
                                     newton_tol=self.newton_tol, bracket_stop=self.bracket_stop)
         self.grid_ = grid

@@ -96,13 +96,23 @@ class DiscreteOperator:
 
     @functools.cached_property
     def free_matrix_t(self):
-        """CSR form of free_matrix.T, built on first use and kept on the operator."""
-        return self.free_matrix.T.tocsr()
+        """CSR form of free_matrix.T, built on first use and kept on the operator, read-only."""
+        mat = self.free_matrix.T.tocsr()
+        _read_only(mat.data, mat.indices, mat.indptr)
+        return mat
 
     @functools.cached_property
     def hessian_pattern(self):
-        """Product map of L^T D L into band storage, built on first use and kept on the operator."""
+        """Product map of L^T D L into band storage, built on first use and kept on the operator.
+
+        Its arrays are read-only.
+        """
         return _hessian_pattern(self.free_matrix, self.n_components)
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
 
 
 def _csr_matvec(mat, x):
@@ -172,6 +182,7 @@ def _hessian_pattern(free_matrix, n_comp):
         (val[s] * val[t], (out_row[pos], block_col)),
         shape=(band_pos.size, n_rows * n_comp),
     ).tocsr()
+    _read_only(products.data, products.indices, products.indptr, band_pos)
     return HessianPattern(products=products, band_pos=band_pos, bandwidth=bw, n_dofs=n_dofs)
 
 

@@ -18,7 +18,16 @@ from .errors import GrowthViolation, NoConvergence, SingularHessian
 OBJ_ROUNDOFF = 64.0 * np.finfo(np.float64).eps  # of F - target . xi, relative to its terms
 
 
-class Supremand:
+class _FrozenAfterInit(type):
+    """Metaclass that marks each instance frozen once its __init__ has returned."""
+
+    def __call__(cls, *args, **kwargs):
+        obj = super().__call__(*args, **kwargs)
+        object.__setattr__(obj, "_frozen", True)
+        return obj
+
+
+class Supremand(metaclass=_FrozenAfterInit):
     """Base class: scalar cost F(x, xi) with gradient/Hessian access and growth constant c.
 
     A subclass implements the field methods eval_field, grad_field and
@@ -26,11 +35,26 @@ class Supremand:
     coordinates points of shape (M, n), or None for costs without spatial
     dependence, and values xi of shape (M, N); they return F of shape (M,),
     F_xi of shape (M, N) and F_xixi of shape (M, N, N).  The pointwise eval,
-    grad and hess at one node x are their first rows.
+    grad and hess at one node x are their first rows.  A cost is fixed once
+    constructed: setting or deleting an attribute after __init__ raises
+    AttributeError, so what a solve reads cannot change under it.
     """
 
     c = None
     n_components = None
+    _frozen = False
+
+    def __setattr__(self, name, value):
+        if self._frozen:
+            raise AttributeError(f"{type(self).__name__} is fixed at construction; "
+                                 f"build a new cost instead of setting {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if self._frozen:
+            raise AttributeError(f"{type(self).__name__} is fixed at construction; "
+                                 f"cannot delete {name!r}")
+        object.__delattr__(self, name)
 
     def eval(self, x, xi):
         return float(self.eval_field(_point_array(x), np.atleast_2d(xi))[0])
@@ -120,7 +144,8 @@ class WeightedPowerNorm(Supremand):
     F = alpha * sum xi_k^2, F_xi = alpha * 2 xi, F_xixi = alpha * 2 I.  These
     are exactly the values the general formulas give at q = 2 (s^1 = s,
     S^0 = 1, a zero rank-one term), without their powers and masks; with a
-    constant alpha the Hessian field is kept, read-only, per (shape, alpha).
+    constant alpha the Hessian field is kept, read-only, per shape (the one
+    slot of a cost that changes after construction).
 
     With eps = 0 the cost is 2-homogeneous (F, F_xi, F_xixi of degrees 2, 1,
     0), so a row of xi whose scale max|xi_k| would take the general formulas'
@@ -136,7 +161,8 @@ class WeightedPowerNorm(Supremand):
             raise ValueError("q < 2 requires a smoothing eps > 0")
         self.q = q
         self.eps = float(eps)
-        self._hess_cache = (None, None)   # (shape and alpha, q = 2 Hessian field)
+        self._quadratic = q == 2.0 and self.eps == 0.0
+        self._hess_cache = (None, None)   # (shape, q = 2 Hessian field of a constant alpha)
         bound = 2.0 ** (1000.0 / (2.0 * q - 2.0)) if self.eps == 0.0 else np.inf
         self._unit_range = (1.0 / bound, bound)
         self.alpha = alpha
@@ -154,10 +180,6 @@ class WeightedPowerNorm(Supremand):
         c_lower = n ** max(0.0, 1.0 - 2.0 / q) / a_min
         c_upper = 2.0 * a_max * n ** max(0.0, (2.0 - q) / q)
         self.c = max(c_lower, c_upper)
-
-    @property
-    def _quadratic(self):
-        return self.q == 2.0 and self.eps == 0.0
 
     def _weighted(self, points, field):
         """alpha(x) * field, with the nodes along the first axis of field.
@@ -192,13 +214,16 @@ class WeightedPowerNorm(Supremand):
         values = _value_rows(values)
         if not self._quadratic:
             return self._homogeneous(self._hess_general, 0, points, values)
-        key = None if callable(self.alpha) else (values.shape, float(self.alpha))
-        if key is None or key != self._hess_cache[0]:
+        kept = not callable(self.alpha)
+        if not kept or values.shape != self._hess_cache[0]:
             m, n = values.shape
             hess = np.zeros((m, n * n))
             hess[:, :: n + 1] = 2.0   # the diagonal of each flattened (n, n) block
-            self._hess_cache = (key, self._weighted(points, hess.reshape(m, n, n)))
-            self._hess_cache[1].flags.writeable = key is None   # a kept field is read-only
+            hess = self._weighted(points, hess.reshape(m, n, n))
+            if not kept:
+                return hess
+            hess.flags.writeable = False
+            object.__setattr__(self, "_hess_cache", (values.shape, hess))
         return self._hess_cache[1]
 
     def _homogeneous(self, general, degree, points, values):

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
+import supmin.estimator
 from supmin import (
     Grid,
     WeightedPowerNorm,
@@ -16,6 +17,14 @@ from supmin import (
 )
 
 BLOCKS = [np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])]
+
+
+@pytest.fixture(autouse=True)
+def empty_operator_store():
+    """Each test starts and ends with no stored estimator operators, whatever ran before it."""
+    supmin.estimator._OPERATORS.clear()
+    yield
+    supmin.estimator._OPERATORS.clear()
 
 
 def symmetric_velocity_profile(t):

@@ -324,6 +324,32 @@ def test_one_operator_evaluation_per_stage(bang_bang_problem, monkeypatch):
         assert res.cv == coefficient_of_variation(res.fv[active_set(res.f)[1]])
 
 
+def test_one_power_mean_per_stage_end(bang_bang_problem, monkeypatch):
+    # a stage that settles passes on the power mean its stop test computed:
+    # no fv array has its power mean taken twice at the same exponent
+    grid, op, F, u0 = bang_bang_problem
+    calls, ends = [], []
+    power_mean = supmin.continuation._power_mean
+    settled = _StageProblem.settled
+
+    def counted(fv, p):
+        calls.append((fv, p))   # holding fv keeps its id from being reused
+        return power_mean(fv, p)
+
+    def recorded(self, gain, obj, fv):
+        ends.append(settled(self, gain, obj, fv))
+        return ends[-1]
+
+    monkeypatch.setattr(supmin.continuation, "_power_mean", counted)
+    monkeypatch.setattr(_StageProblem, "settled", recorded)
+    rep = continuation_solve(op, F, u0, p_max=4096.0)
+    monkeypatch.undo()
+    assert sum(ends) >= 2   # intermediate stages that ended by the energy rule
+    assert len({(id(fv), p) for fv, p in calls}) == len(calls)
+    for row in rep.rows:
+        assert row.energy == _power_mean_of(op, F, row.u, row.p)
+
+
 def test_continuation_affine_data_degenerates():
     grid, op, F, u0 = make_1d_problem(nodes=101, profile="affine")
     rep = continuation_solve(op, F, u0)

@@ -1,17 +1,27 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import symmetric_velocity_profile
 
+import supmin.estimator
 from supmin import (
     AsymmetricTensor,
     DimensionMismatch,
+    EllipticTensor,
     SupminError,
     SupremalMinimizer,
     WeightedPowerNorm,
+    assemble_operator,
     constant_tensor,
+    continuation_solve,
     identity_tensor,
 )
+from supmin.cli import _solve_from_config
+from supmin.config import boundary_profile, build_grid, build_supremand, build_tensor, parse_config
 
 
 def small_solver(**overrides):
@@ -169,3 +179,135 @@ def test_tiny_data_raise_solver_error(amp):
     t = np.linspace(0.0, 1.0, 41)
     with pytest.raises(SupminError, match="cost scale"):
         SupremalMinimizer(nodes=41).fit(amp * symmetric_velocity_profile(t))
+
+
+# the operator store: fits of one problem shape share one assembled operator
+
+def _hermite(t, x0, v0, x1, v1):
+    return (x0 * (2 * t**3 - 3 * t**2 + 1) + v0 * (t**3 - 2 * t**2 + t)
+            + x1 * (-2 * t**3 + 3 * t**2) + v1 * (t**3 - t**2))
+
+
+def _fingerprint(report):
+    rows = [(row.p, row.iterations, row.evaluations, row.factorizations, row.lifts,
+             row.stalled, repr(row.energy), repr(row.peak)) for row in report.rows]
+    return repr(report.e_inf), repr(report.bracket), rows, report.u.tobytes(), report.f.tobytes()
+
+
+def test_stored_operator_fits_equal_fresh_assembly_bitwise():
+    data = np.random.default_rng(21).uniform([-1, -2, -1, -2], [1, 2, 1, 2], (20, 4))
+    first = None
+    for row in data:
+        est = SupremalMinimizer(nodes=201, p_max=4096.0)
+        boundary = _hermite(np.linspace(0.0, 1.0, 201), *row).reshape(-1, 1)
+        est.fit(boundary)
+        first = first or est.operator_
+        assert est.operator_ is first
+        fresh = continuation_solve(assemble_operator(est.grid_, identity_tensor(1, 1)),
+                                   WeightedPowerNorm(1), boundary, p_max=4096.0)
+        assert _fingerprint(est.report_) == _fingerprint(fresh)
+    assert len(supmin.estimator._OPERATORS) == 1
+
+
+def test_stored_operator_cli_config_equals_fresh_assembly_bitwise():
+    # a 2D two-component config, solved through the CLI's estimator twice
+    cfg = parse_config("domain.dim = 2\ndomain.nodes = 21\nfield.components = 2\n"
+                       "tensor.kind = block_diagonal\ntensor.blocks = 1,0,0,1;2,0.5,0.5,1\n"
+                       "schedule.p_max = 64\nbc.kind = sinusoidal\n")
+    first, second = _solve_from_config(cfg), _solve_from_config(cfg)
+    assert second.operator_ is first.operator_
+    grid = build_grid(cfg)
+    fresh = continuation_solve(assemble_operator(grid, build_tensor(cfg)), build_supremand(cfg),
+                               boundary_profile(cfg, grid.coords()), p_max=cfg.p_max,
+                               newton_tol=cfg.newton_tol, bracket_stop=cfg.bracket_stop)
+    for est in (first, second):
+        assert _fingerprint(est.report_) == _fingerprint(fresh)
+        assert repr(est.report_.verify) == repr(fresh.verify)
+
+
+def test_store_assembles_only_on_a_miss(monkeypatch):
+    # the estimator reaches assembly through its module's name, as a tracer patches it
+    calls = []
+    assemble = supmin.estimator.assemble_operator
+
+    def counted(grid, tensor):
+        calls.append(grid.shape)
+        return assemble(grid, tensor)
+
+    monkeypatch.setattr(supmin.estimator, "assemble_operator", counted)
+    t = np.linspace(0.0, 1.0, 31)
+    for nodes in (31, 31, 41, 31):
+        small_solver(nodes=nodes).fit(symmetric_velocity_profile(np.linspace(0.0, 1.0, nodes)))
+    assert calls == [(31,), (41,)]
+    small_solver(nodes=31, tensor=constant_tensor(2.0 * np.ones((1, 1, 1, 1)))).fit(
+        symmetric_velocity_profile(t))
+    assert calls == [(31,), (41,), (31,)]
+
+
+class VariableEntries:
+    """1D scalar a(x) = 1 + x^2."""
+
+    n = 1
+    n_components = 1
+
+    def __call__(self, pts):
+        return (1.0 + pts[:, 0] ** 2)[:, None, None, None, None] * np.ones((1, 1, 1, 1))
+
+
+def test_store_never_serves_a_callable_tensor():
+    t = np.linspace(0.0, 1.0, 31)
+    tensor = EllipticTensor(VariableEntries())
+    ops = [small_solver(nodes=31, tensor=tensor).fit(symmetric_velocity_profile(t)).operator_
+           for _ in range(2)]
+    assert ops[0] is not ops[1]
+    assert not supmin.estimator._OPERATORS
+    assert ops[0].free_matrix.data.flags.writeable
+
+
+def test_store_follows_tensor_entries_changed_in_place():
+    t = np.linspace(0.0, 1.0, 31)
+    tensor = constant_tensor(np.ones((1, 1, 1, 1)))
+    first = small_solver(nodes=31, tensor=tensor).fit(symmetric_velocity_profile(t))
+    tensor.entries[...] = 2.0
+    second = small_solver(nodes=31, tensor=tensor).fit(symmetric_velocity_profile(t))
+    assert second.operator_ is not first.operator_
+    # the stored operators hold their own copies of the entries they were built from
+    assert first.operator_.tensor.entries[0, 0, 0, 0] == 1.0
+    fresh = assemble_operator(second.grid_, tensor)
+    assert (second.operator_.free_matrix != fresh.free_matrix).nnz == 0
+    assert second.e_inf_ == pytest.approx(4.0 * first.e_inf_, rel=1e-6)
+
+
+def test_store_keeps_signed_zero_extents_apart():
+    t = np.linspace(0.0, 1.0, 31)
+    ops = [small_solver(nodes=31, lo=lo).fit(symmetric_velocity_profile(t)).operator_
+           for lo in (0.0, -0.0, 0.0)]
+    assert ops[0] is not ops[1] and ops[2] is ops[0]
+    assert [math.copysign(1.0, op.grid.lo[0]) for op in ops] == [1.0, -1.0, 1.0]
+
+
+def test_evicted_operator_and_its_caches_are_freed():
+    t = np.linspace(0.0, 1.0, 31)
+    est = small_solver(nodes=31).fit(symmetric_velocity_profile(t))
+    op = est.operator_
+    refs = [weakref.ref(obj) for obj in (op, op.hessian_pattern, op.free_matrix_t, op.eq_coords())]
+    for nodes in range(32, 32 + supmin.estimator._OPERATORS_KEPT):
+        assert refs[0]() is not None
+        small_solver(nodes=nodes).fit(symmetric_velocity_profile(np.linspace(0.0, 1.0, nodes)))
+    assert len(supmin.estimator._OPERATORS) == supmin.estimator._OPERATORS_KEPT
+    del est, op
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_stored_operator_arrays_are_read_only():
+    est = small_solver(nodes=31).fit(symmetric_velocity_profile(np.linspace(0.0, 1.0, 31)))
+    op = est.operator_
+    pattern = op.hessian_pattern
+    arrays = [op.eq_idx, op.interior_idx, op.clamp_idx, op.square_rows, op.eq_coords(),
+              op.tensor.entries, pattern.band_pos]
+    for mat in (op.free_matrix, op.clamp_matrix, op.free_matrix_t, pattern.products):
+        arrays += [mat.data, mat.indices, mat.indptr]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0

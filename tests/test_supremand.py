@@ -453,16 +453,22 @@ def test_quadratic_hessian_field_is_built_once_and_read_only():
 
 
 def test_quadratic_hessian_field_follows_alpha_and_q():
-    # a changed alpha or q, or a callable alpha, is never served a stored field
+    # alpha and q are fixed at construction, so a kept field cannot go stale:
+    # assigning either raises, a cost built with the new value gets its own
+    # field, and a callable alpha is never served a kept field
     values = np.random.default_rng(13).standard_normal((30, 2))
     F = WeightedPowerNorm(2, q=2.0, alpha=1.7)
-    F.hess_field(None, values)
-    F.alpha = 3.0
-    np.testing.assert_array_equal(F.hess_field(None, values),
-                                  WeightedPowerNorm(2, alpha=3.0).hess_field(None, values))
-    F.q = 3.0
-    np.testing.assert_array_equal(F.hess_field(None, values), F._hess_general(None, values))
-    assert not np.array_equal(F._hess_general(None, values), 2.0 * F.alpha * np.eye(2))
+    kept = F.hess_field(None, values)
+    for name, value in (("alpha", 3.0), ("q", 3.0)):
+        with pytest.raises(AttributeError, match=name):
+            setattr(F, name, value)
+    assert F.hess_field(None, values) is kept
+    np.testing.assert_array_equal(kept, np.broadcast_to(3.4 * np.eye(2), (30, 2, 2)))
+    np.testing.assert_array_equal(WeightedPowerNorm(2, alpha=3.0).hess_field(None, values),
+                                  np.broadcast_to(6.0 * np.eye(2), (30, 2, 2)))
+    G = WeightedPowerNorm(2, q=3.0, alpha=1.7)
+    np.testing.assert_array_equal(G.hess_field(None, values), G._hess_general(None, values))
+    assert not np.array_equal(G._hess_general(None, values), kept)
     # the config's affine weight (supremand.alpha = affine:1,0.5,0.25) is a callable
     F = WeightedPowerNorm(2, q=2.0, alpha=lambda pts: 1.0 + 0.5 * pts[:, 0] + 0.25 * pts[:, 1],
                           alpha_bounds=(1.0, 1.75))
@@ -471,6 +477,24 @@ def test_quadratic_hessian_field_follows_alpha_and_q():
         hess = F.hess_field(points, values)
         np.testing.assert_array_equal(hess, F._hess_general(points, values))
         assert hess.flags.writeable
+
+
+def test_costs_are_fixed_at_construction():
+    # q = 3 on a q = 2 cost once served the kept q = 2 field's diagonal for a
+    # q = 3 Hessian; now the assignment raises and the cost stays q = 2
+    F = WeightedPowerNorm(2)
+    with pytest.raises(AttributeError, match="fixed at construction"):
+        F.q = 3.0
+    np.testing.assert_array_equal(F.hess_field(None, [[1e100, 5e99]]), [2.0 * np.eye(2)])
+    custom = CustomSupremand(lambda x, xi: xi @ xi, lambda x, xi: 2.0 * xi,
+                             lambda x, xi: 2.0 * np.eye(2), c=2.0, n_components=2)
+    for cost in (F, F.scaled(2.0), custom, _FieldOnlyQuadratic()):
+        for name in ("c", "n_components", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(cost, name, 1.0)
+        with pytest.raises(AttributeError):
+            del cost.c
+    assert (F.q, F.c, F.n_components) == (2.0, 2.0, 2)
 
 
 @pytest.mark.parametrize("q", [3.0, 4.0, 8.0])

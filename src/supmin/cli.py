@@ -147,11 +147,12 @@ def _write_fields(path, op, report):
     # columns x, u, Lu, F, f; Lu, F and f are zero off the equation nodes
     table = np.zeros((n_nodes, dim + 3 * n_comp + 1))
     table[:, :dim] = coords
-    table[:, dim:dim + n_comp] = report.u
+    last = report.rows[-1]
+    table[:, dim:dim + n_comp] = last.u
     eq = op.eq_idx
-    table[eq, dim + n_comp:dim + 2 * n_comp] = report.lu
-    table[eq, dim + 2 * n_comp] = report.fv
-    table[eq, dim + 2 * n_comp + 1:] = report.f
+    table[eq, dim + n_comp:dim + 2 * n_comp] = last.lu
+    table[eq, dim + 2 * n_comp] = last.fv
+    table[eq, dim + 2 * n_comp + 1:] = last.f
     headers = (
         [f"x{a}" for a in range(dim)]
         + [f"u{i}" for i in range(n_comp)]
@@ -189,6 +190,10 @@ def _oracle_for_config(cfg, supremand):
 
 def _run_single(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
+    # a run that fails leaves no outputs of an earlier run behind
+    for name in ("report.txt", "fields.dat", "oracle.txt"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     est = _solve_from_config(cfg)
     report = est.report_
     oracle_row = _oracle_for_config(cfg, est.supremand)

@@ -32,9 +32,9 @@ L_h u is evaluated by the operator (DiscreteOperator.apply_dofs), once per field
 each Newton loop returns the (L_h u, F) pair of its field for its callers to reuse.
 A stage (minimize_power_energy) returns one StageResult: its field, that pair, the
 dual field computed from it (dual_field), its bracket and its counters; the
-continuation report keeps the StageResult of every stage it ran, and each stage
-starts its Newton loop from the pair of the field before it instead of
-evaluating that field again.
+continuation report's rows are the StageResults of its start and of every stage
+it ran, and each stage starts its Newton loop from the pair of the row before it
+instead of evaluating that field again.
 
 Work is done once where its inputs change.  Once per solve: the clamp's part of
 L_h u and the zero floor (_clamp_invariants), for the cold start and every stage.
@@ -42,7 +42,7 @@ Once per stage: the band and factor buffers.  Once per trial point: L_h u and F
 (evaluate), and log(F/m), shared by objective, gradient and Newton blocks until
 a rescale changes m; the power mean an intermediate stage's stop test takes is
 the stage's energy if the stage ends at that point.  Stages count evaluations,
-dpbtrf attempts and shift lifts.
+dpbtrf attempts, shift lifts, rejected line-search trials and peak rescales.
 
 A stage stops by one of two rules.  The stage that ends the run (the last
 scheduled exponent, or the first whose bracket is narrower than
@@ -64,7 +64,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench/tracer.py:126 patches this name
 
 from .errors import DegenerateEnergy, DimensionMismatch, LineSearchStall, NoConvergence
-from .operators import _csr_matvec, apply_operator, check_field
+from .operators import _csr_matvec, check_field
 from .verify import active_set, coefficient_of_variation, verify_system
 
 log = logging.getLogger(__name__)
@@ -98,12 +98,6 @@ def geometric_schedule(p_max):
         p *= 2.0
     out.append(p_max)
     return tuple(out)
-
-
-def _evaluate(op, supremand, u):
-    """(L_h u, nodal costs F(x, L_h u)) at the equation nodes."""
-    lu = apply_operator(op, u)
-    return lu, supremand.eval_field(op.eq_coords(), lu)
 
 
 def _clamp_invariants(op, supremand, clamp):
@@ -183,6 +177,8 @@ class StageResult:
     evaluations: int    # (L_h u, F) evaluations the stage made itself
     factorizations: int # dpbtrf attempts: one per Newton step plus the lifts
     lifts: int          # diagonal shift lifts, each after a failed dpbtrf
+    backtracks: int     # trial points the line search rejected
+    rescales: int       # changes of the objective's peak scale after the first
 
 
 @dataclass
@@ -214,7 +210,7 @@ class _StageProblem:
         self._band = self._band_flat = self._factor = None   # made on the first Newton step
         self._logs = (None, None, None)    # (fv, scale, log(F/scale)) of the last trial point
         self.power_mean = (None, None)     # (fv, its power mean) of the last settled test
-        self.evaluations = self.factorizations = self.lifts = 0
+        self.evaluations = self.factorizations = self.lifts = self.backtracks = self.rescales = 0
 
     def evaluate(self, x):
         """(L_h u, nodal costs) of the field with interior dofs x."""
@@ -461,6 +457,7 @@ def _newton_loop(problem, x, tol, label, start=None):
                     x = x_try
                     break
                 trial = None
+                problem.backtracks += 1
                 t *= 0.5
             else:
                 failure = LineSearchStall(
@@ -478,6 +475,7 @@ def _newton_loop(problem, x, tol, label, start=None):
                 return x, iters, 0.0, False, lu, fv
             rescaled = abs(np.log(peak_now) - np.log(problem.scale)) > min(0.2, 128.0 / problem.p)
             if rescaled:
+                problem.rescales += 1
                 problem.scale = peak_now
                 obj_try = problem.objective(x, fv)
                 trial = None
@@ -554,7 +552,8 @@ def minimize_power_energy(
     return StageResult(p=problem.p, u=op.with_interior_dofs(clamp, x), lu=lu, fv=fv, f=f,
                        energy=energy, peak=peak, iterations=iters, grad_rel=grad_rel,
                        stalled=stalled, cv=cv, degenerate=degenerate, evaluations=problem.evaluations,
-                       factorizations=problem.factorizations, lifts=problem.lifts)
+                       factorizations=problem.factorizations, lifts=problem.lifts,
+                       backtracks=problem.backtracks, rescales=problem.rescales)
 
 
 def dual_field(op, supremand, lu, fv, p, energy):
@@ -572,22 +571,21 @@ def dual_field(op, supremand, lu, fv, p, energy):
 
 @dataclass
 class SolveReport:
-    rows: list                # the StageResult of each stage, in exponent order
-    u: np.ndarray             # full nodal field
-    f: np.ndarray             # dual field on the equation nodes
+    rows: list                # StageResults: the start (p = 1), then each stage run, in order
     e_inf: float              # midpoint estimate of the limiting value
     bracket: tuple            # (power mean, peak) at the final stage
     degenerate: bool = False
     verify: object = None
-    lu: np.ndarray = None     # L_h u at the equation nodes
-    fv: np.ndarray = None     # nodal costs F(x, L_h u)
 
     def check_invariants(self, slack=1e-8):
         """Raise AssertionError, also under python -O, when the monotonicity/sandwich fails."""
-        for a, b in zip(self.rows, self.rows[1:]):
+        # the start (row 0) is checked once it took a Newton step; one that took
+        # none may be an initial= evaluation, bounded by nothing
+        rows = self.rows if self.rows[0].iterations else self.rows[1:]
+        for a, b in zip(rows, rows[1:]):
             if not b.energy >= a.energy - slack * max(1.0, a.energy):
                 raise AssertionError(f"power means not monotone: {a.energy} -> {b.energy}")
-        for row in self.rows:
+        for row in rows:
             if not row.energy <= self.e_inf + slack * max(1.0, row.energy):
                 raise AssertionError(f"estimate {self.e_inf} below stage mean {row.energy}")
             if not self.e_inf <= row.peak + slack * max(1.0, row.peak):
@@ -616,16 +614,18 @@ def continuation_solve(
 ):
     """March geometric_schedule(p_max) with warm starts and bracket the limit value.
 
-    The first stage starts from cold_start, or from initial's interior values
-    with the clamp's band.  A p_max outside [1, inf), or a newton_tol or
+    The start is cold_start, or initial's interior values with the clamp's
+    band, evaluated as an exponent-1 stage that takes no Newton step (its tol
+    is the largest float).  A p_max outside [1, inf), or a newton_tol or
     bracket_stop that is not positive and finite, is a ValueError.
 
-    Returns a SolveReport whose rows are the StageResults of the stages run, in
-    order, with the final field, its L_h u, costs and dual field, the bracket
-    midpoint estimate, and as verify the verify_system report on the limiting
-    optimality system.  A start or stage field with peak cost at or below
-    _zero_floor solves L_h u = 0, so it is the unique minimizer and is returned
-    (zero-energy branch, bracket (0, peak)).
+    Returns a SolveReport whose rows are the start's StageResult and then those
+    of the stages run, each warm-started from the row before it; the final row
+    holds the final field, its L_h u, costs and dual field.  The report has the
+    bracket midpoint estimate, and as verify the verify_system report on the
+    limiting optimality system.  A start or stage field with peak cost at or
+    below _zero_floor solves L_h u = 0, so it is the unique minimizer and ends
+    the rows (zero-energy branch, bracket (0, peak)).
     The cost, the operator, the clamp and initial must agree on the number of
     components N (DimensionMismatch otherwise), and the fields must be finite.
     """
@@ -639,39 +639,32 @@ def continuation_solve(
             raise ValueError(f"{name} must be positive and finite, got {value}")
     invariants = _clamp_invariants(op, supremand, clamp)
     if initial is None:
-        start = cold_start(op, supremand, clamp, _invariants=invariants)
-        u, lu, fv, degenerate = start.u, start.lu, start.fv, start.degenerate
+        rows = [cold_start(op, supremand, clamp, _invariants=invariants)]
     else:
         initial = check_field(initial, op.grid.n_nodes, n_comp, name="initial field")
-        u = op.with_interior_dofs(clamp, op.interior_dofs(initial))
-        lu, fv = _evaluate(op, supremand, u)
-        degenerate = float(np.max(fv)) <= invariants[1]
+        rows = [minimize_power_energy(op, supremand, clamp, 1.0, warm_start=initial,
+                                      tol=np.finfo(np.float64).max, _invariants=invariants)]
 
-    rows = []
-    for p in () if degenerate else sched:
+    for p in () if rows[0].degenerate else sched:
+        warm = rows[-1]
         # every stage but the last scheduled one may end at energy accuracy;
         # each starts from the L_h u and costs of its warm start at hand
-        rows.append(minimize_power_energy(op, supremand, clamp, p, warm_start=u, tol=newton_tol,
-                                          bracket_stop=bracket_stop if p < sched[-1] else None,
-                                          warm_eval=(lu, fv), _invariants=invariants))
-        last = rows[-1]
-        u, lu, fv, degenerate = last.u, last.lu, last.fv, last.degenerate
+        last = minimize_power_energy(op, supremand, clamp, p, warm_start=warm.u, tol=newton_tol,
+                                     bracket_stop=bracket_stop if p < sched[-1] else None,
+                                     warm_eval=(warm.lu, warm.fv), _invariants=invariants)
+        rows.append(last)
         log.info(
             "stage p=%g: energy=%.12g peak=%.12g iters=%d grad_rel=%.3e cv=%.3e stalled=%s",
             p, last.energy, last.peak, last.iterations, last.grad_rel, last.cv, last.stalled,
         )
-        if degenerate or _bracket_closed(last.energy, last.peak, bracket_stop):
+        if last.degenerate or _bracket_closed(last.energy, last.peak, bracket_stop):
             break
 
-    if degenerate:
-        f, e_inf, bracket = np.zeros((op.n_eq, n_comp)), 0.0, (0.0, float(np.max(fv)))
-    else:
-        f, e_inf, bracket = last.f, 0.5 * (last.energy + last.peak), (last.energy, last.peak)
-
-    report = SolveReport(
-        rows=rows, u=u, f=f, e_inf=e_inf, bracket=bracket, degenerate=degenerate, lu=lu, fv=fv
-    )
-    report.verify = verify_system(op, supremand, u, f, e_inf)
+    last = rows[-1]
+    e_inf = 0.0 if last.degenerate else 0.5 * (last.energy + last.peak)
+    bracket = (0.0 if last.degenerate else last.energy, last.peak)
+    report = SolveReport(rows=rows, e_inf=e_inf, bracket=bracket, degenerate=last.degenerate)
+    report.verify = verify_system(op, supremand, last.u, last.f, e_inf)
     return report
 
 

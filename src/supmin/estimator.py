@@ -181,8 +181,8 @@ class SupremalMinimizer:
         self.grid_ = grid
         self.operator_ = op
         self.report_ = report
-        self.u_ = report.u
-        self.f_ = report.f
+        self.u_ = report.rows[-1].u
+        self.f_ = report.rows[-1].f
         self.e_inf_ = report.e_inf
         self.n_features_in_ = op.n_components
         return self

@@ -111,7 +111,7 @@ def uniqueness_check(op, supremand, clamp, start_a=None, start_b=None, **solve_k
         raise ValueError("uniqueness_check needs at least one start besides the cold start")
     rep_a = continuation_solve(op, supremand, clamp, initial=start_a, **solve_kwargs)
     rep_b = continuation_solve(op, supremand, clamp, initial=start_b, **solve_kwargs)
-    return float(np.max(np.abs(rep_a.u - rep_b.u)))
+    return float(np.max(np.abs(rep_a.rows[-1].u - rep_b.rows[-1].u)))
 
 
 def absolute_min_check(op, supremand, u, start, stop):
@@ -143,7 +143,7 @@ def rescaling_invariance_check(op, supremand, clamp, factor, **solve_kwargs):
         raise ValueError("factor must be positive")
     rep_1 = continuation_solve(op, supremand, clamp, **solve_kwargs)
     rep_2 = continuation_solve(op, supremand.scaled(factor), clamp, **solve_kwargs)
-    distance = float(np.max(np.abs(rep_1.u - rep_2.u)))
+    distance = float(np.max(np.abs(rep_1.rows[-1].u - rep_2.rows[-1].u)))
     if rep_1.e_inf == 0.0:
         ratio = float("nan") if rep_2.e_inf == 0.0 else float("inf")
     else:

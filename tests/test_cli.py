@@ -11,6 +11,7 @@ import supmin.cli
 import supmin.config
 from supmin.cli import main
 from supmin.config import config_hash, load_config, parse_config
+from supmin.continuation import NEWTON_TOL, cold_start, geometric_schedule
 
 SYMMETRIC_CFG = """
 # 1D least-peak-acceleration benchmark (coarse)
@@ -108,15 +109,48 @@ def test_fields_file_matches_reference_rows(tmp_path, monkeypatch, chunk_rows):
     lu = np.zeros((coords.shape[0], 2))
     fv = np.zeros(coords.shape[0])
     dual = np.zeros((coords.shape[0], 2))
-    lu[op.eq_idx] = supmin.apply_operator(op, report.u)
+    last = report.rows[-1]
+    lu[op.eq_idx] = supmin.apply_operator(op, last.u)
     fv[op.eq_idx] = F.eval_field(op.eq_coords(), lu[op.eq_idx])
-    dual[op.eq_idx] = report.f
+    dual[op.eq_idx] = last.f
     lines = ["# x0 x1 u0 u1 Lu0 Lu1 F f0 f1"]
     for k in range(coords.shape[0]):
-        row = [*coords[k], *report.u[k], *lu[k], fv[k], *dual[k]]
+        row = [*coords[k], *last.u[k], *lu[k], fv[k], *dual[k]]
         lines.append(" ".join(format(float(v), ".17e") for v in row))
     assert np.any(dual < 0.0) and np.any(lu != 0.0)
     assert (out / "fields.dat").read_text() == "\n".join(lines) + "\n"
+
+
+def test_first_p_row_is_the_cold_start(tmp_path):
+    # the p-table starts at the start: the cold start's p = 1 record, then the schedule
+    cfg = write(tmp_path, "vec.cfg", VECTOR_CFG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_report(out)
+    parsed = load_config(cfg)
+    grid = supmin.config.build_grid(parsed)
+    op = supmin.assemble_operator(grid, supmin.config.build_tensor(parsed))
+    start = cold_start(op, supmin.config.build_supremand(parsed),
+                       supmin.config.boundary_profile(parsed, grid.coords()))
+    p, energy, peak, iterations, grad_rel, cv = rows[0]
+    assert (p, iterations) == (1.0, start.iterations) and iterations >= 1
+    assert (energy, peak, cv) == pytest.approx((start.energy, start.peak, start.cv), rel=1e-12)
+    assert grad_rel <= NEWTON_TOL
+    assert [row[0] for row in rows[1:]] == list(geometric_schedule(64.0)[:len(rows) - 1])
+
+
+def test_failed_run_leaves_no_outputs_of_an_earlier_run(tmp_path):
+    # a run that fails verification (exit 4) into the --out of a run that
+    # succeeded leaves none of that run's outputs for a reader to mistake for its own
+    out = tmp_path / "out"
+    outputs = ("report.txt", "fields.dat", "oracle.txt")
+    ok = write(tmp_path, "ok.cfg", "domain.dim = 1\ndomain.nodes = 41\n")   # affine data
+    assert main(["run", "--config", ok, "--out", str(out)]) == 0
+    assert all((out / name).exists() for name in outputs)
+    failing = write(tmp_path, "p2.cfg", "domain.dim = 1\ndomain.nodes = 41\n"
+                    "bc.kind = symmetric_velocity\nschedule.p_max = 2\n")
+    assert main(["run", "--config", failing, "--out", str(out)]) == 4
+    assert not any((out / name).exists() for name in outputs)
 
 
 def test_run_zero_energy_branch(tmp_path):
@@ -671,8 +705,8 @@ def test_check_invariants_raises_under_optimize():
         "from supmin.continuation import SolveReport, StageResult\n"
         "row = StageResult(p=2.0, u=None, lu=None, fv=None, f=None, energy=5.0, peak=6.0,"
         " iterations=1, grad_rel=0.0, stalled=False, cv=0.0, degenerate=False, evaluations=2,"
-        " factorizations=1, lifts=0)\n"
-        "report = SolveReport(rows=[row], u=None, f=None, e_inf=100.0, bracket=(5.0, 6.0))\n"
+        " factorizations=1, lifts=0, backtracks=0, rescales=0)\n"
+        "report = SolveReport(rows=[row], e_inf=100.0, bracket=(5.0, 6.0))\n"
         "try:\n"
         "    report.check_invariants()\n"
         "except AssertionError as exc:\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import inspect
 import types
@@ -36,7 +37,6 @@ from supmin.cli import _solve_from_config
 from supmin.config import boundary_profile, build_grid, build_supremand, build_tensor, parse_config
 from supmin.continuation import (
     BRACKET_STOP,
-    _evaluate,
     _factor_spd,
     _newton_loop,
     _power_mean,
@@ -49,6 +49,12 @@ from supmin.continuation import (
 )
 from supmin.operators import _csr_matvec
 from supmin.verify import active_set
+
+
+def _evaluate(op, F, u):
+    """(L_h u, nodal costs) of the full field u."""
+    lu = apply_operator(op, u)
+    return lu, F.eval_field(op.eq_coords(), lu)
 
 
 def _power_mean_of(op, F, u, p):
@@ -249,7 +255,7 @@ def test_dual_field_log_domain_reference():
     rep = continuation_solve(op, F, u0, p_max=512.0, bracket_stop=1e-9)
     p_last = rep.rows[-1].p
     energy = rep.rows[-1].energy
-    lu = apply_operator(op, rep.u)
+    lu = apply_operator(op, rep.rows[-1].u)
     fv = F.eval_field(op.eq_coords(), lu)
     gv = F.grad_field(op.eq_coords(), lu)
     f = dual_field(op, F, lu, fv, p_last, energy)
@@ -279,7 +285,7 @@ def test_dual_field_requires_positive_energy():
 def test_dual_field_sign_split_at_large_p(bang_bang_problem):
     grid, op, F, u0 = bang_bang_problem
     rep = continuation_solve(op, F, u0, p_max=512.0)
-    f = rep.f[:, 0]
+    f = rep.rows[-1].f[:, 0]
     x = op.eq_coords()[:, 0]
     lo, hi = x < 0.45, x > 0.55
     assert np.all(f[lo] < 0) and np.all(f[hi] > 0)
@@ -288,7 +294,7 @@ def test_dual_field_sign_split_at_large_p(bang_bang_problem):
 def test_one_operator_evaluation_per_stage(bang_bang_problem, monkeypatch):
     grid, op, F, u0 = bang_bang_problem
     calls, stages = [], []
-    apply_real = supmin.continuation.apply_operator
+    apply_real = supmin.verify.apply_operator
     stage_real = supmin.continuation.minimize_power_energy
 
     def counted_apply(*args, **kwargs):
@@ -300,7 +306,6 @@ def test_one_operator_evaluation_per_stage(bang_bang_problem, monkeypatch):
         stages.append(res)
         return res
 
-    monkeypatch.setattr(supmin.continuation, "apply_operator", counted_apply)
     monkeypatch.setattr(supmin.verify, "apply_operator", counted_apply)
     monkeypatch.setattr(supmin.continuation, "minimize_power_energy", recorded_stage)
     rep = continuation_solve(op, F, u0, p_max=4096.0)
@@ -308,14 +313,13 @@ def test_one_operator_evaluation_per_stage(bang_bang_problem, monkeypatch):
     # the stages and the cold start pass their own evaluations on; only the
     # verifier evaluates the final field again
     assert len(calls) == 1
-    np.testing.assert_array_equal(apply_operator(op, rep.u), rep.lu)
     last = rep.rows[-1]
-    assert np.array_equal(rep.f, dual_field(op, F, rep.lu, rep.fv, last.p, last.energy))
-    # stages[0] is the cold start; each row is the record its stage returned,
+    np.testing.assert_array_equal(apply_operator(op, last.u), last.lu)
+    # rows[0] is the cold start; each row is the record its stage returned,
     # complete with its field's evaluation, bracket, dual field and cost spread
-    assert len(stages) == len(rep.rows) + 1
-    assert all(row is res for row, res in zip(rep.rows, stages[1:]))
-    assert [res.p for res in stages] == [1.0, *geometric_schedule(4096.0)[:len(rep.rows)]]
+    assert len(stages) == len(rep.rows)
+    assert all(row is res for row, res in zip(rep.rows, stages))
+    assert [res.p for res in stages] == [1.0, *geometric_schedule(4096.0)[:len(rep.rows) - 1]]
     for res in stages:
         assert not res.degenerate
         assert res.energy == _power_mean_of(op, F, res.u, res.p)
@@ -355,8 +359,8 @@ def test_continuation_affine_data_degenerates():
     rep = continuation_solve(op, F, u0)
     assert rep.degenerate
     assert rep.e_inf <= 1e-6
-    assert np.max(np.abs(apply_operator(op, rep.u))) <= 1e-6
-    np.testing.assert_allclose(rep.f, 0.0)
+    assert np.max(np.abs(apply_operator(op, rep.rows[-1].u))) <= 1e-6
+    np.testing.assert_allclose(rep.rows[-1].f, 0.0)
 
 
 def _assert_brackets_lp_optimum(op, u0, rep):
@@ -388,7 +392,7 @@ def test_continuation_quadratic_data_coarse_lp_check():
     tau = lp_min_max_abs(op, u0)
     assert rep.e_inf == pytest.approx(4.0, rel=0.02)
     assert rep.e_inf == pytest.approx(tau**2, rel=0.02)
-    lu = apply_operator(op, rep.u)[:, 0]
+    lu = apply_operator(op, rep.rows[-1].u)[:, 0]
     assert np.all(lu > 0)  # no sign switch for one-signed data
 
 
@@ -430,7 +434,7 @@ def test_penalized_solve_fixed_point_at_affine_target():
 def test_penalized_solve_minimality_and_trend(bang_bang_problem):
     grid, op, F, u0 = bang_bang_problem
     rep = continuation_solve(op, F, u0, p_max=1024.0)
-    target = rep.u
+    target = rep.rows[-1].u
 
     def objective(v, p):
         pen = 0.5 * float(np.mean(np.sum((v - target)[op.interior_idx] ** 2, axis=1)))
@@ -448,7 +452,7 @@ def test_rescaling_doubles_stage_energies(bang_bang_problem):
     grid, op, F, u0 = bang_bang_problem
     rep1 = continuation_solve(op, F, u0, p_max=64.0)
     rep2 = continuation_solve(op, F.scaled(2.0), u0, p_max=64.0)
-    assert np.max(np.abs(rep1.u - rep2.u)) <= 1e-6
+    assert np.max(np.abs(rep1.rows[-1].u - rep2.rows[-1].u)) <= 1e-6
     for r1, r2 in zip(rep1.rows, rep2.rows):
         assert r2.energy == pytest.approx(2.0 * r1.energy, rel=1e-8)
 
@@ -467,7 +471,7 @@ def test_custom_supremand_through_continuation():
     rep_custom = continuation_solve(op, quad, u0, p_max=64.0)
     rep_ref = continuation_solve(op, F, u0, p_max=64.0)
     assert rep_custom.e_inf == pytest.approx(rep_ref.e_inf, rel=1e-10)
-    assert np.max(np.abs(rep_custom.u - rep_ref.u)) <= 1e-9
+    assert np.max(np.abs(rep_custom.rows[-1].u - rep_ref.rows[-1].u)) <= 1e-9
 
 
 def test_stage_rows_report_stalled():
@@ -475,13 +479,14 @@ def test_stage_rows_report_stalled():
     strict = continuation_solve(op, F, u0, p_max=64.0, newton_tol=1e-16)
     assert any(row.stalled for row in strict.rows)
     default = continuation_solve(op, F, u0, p_max=64.0)
-    assert default.rows[0].stalled is False
+    # rows[0] is the cold start, rows[1] the first scheduled stage
+    assert all(row.stalled is False for row in default.rows[:2])
 
 
 class _FlatProblem:
     """A Newton-loop problem at a flat objective whose residual stays at level."""
 
-    p, scale, zero_floor = 2.0, 1.0, 0.0
+    p, scale, zero_floor, backtracks, rescales = 2.0, 1.0, 0.0, 0, 0
 
     def __init__(self, level):
         self.level = level
@@ -532,12 +537,12 @@ def test_residual_floor_evaluation_budget(monkeypatch):
     # the last stage reaches its floor. Its floor steps do spend halvings, and
     # how many moves with the BLAS kernel's roundoff (95 evaluations under
     # SkylakeX kernels, 91 under Haswell), so the bounds leave room for that.
-    # The evaluations are the stages' own counters, the cold start's included.
+    # The evaluations are the rows' own counters, the cold start (row 0) included.
     grid, op, F, u0 = make_1d_problem(nodes=41)
     factors = _count_calls(monkeypatch, supmin.continuation, "_factor_spd")
     rep = continuation_solve(op, F, u0, p_max=64.0, newton_tol=1e-16)
     assert len(factors) <= 60
-    evaluations = cold_start(op, F, u0).evaluations + sum(row.evaluations for row in rep.rows)
+    evaluations = sum(row.evaluations for row in rep.rows)
     assert 0 < evaluations <= 100
     assert not any(row.stalled for row in rep.rows[:-1])
 
@@ -552,9 +557,11 @@ def _ladder_41():
 
 @pytest.mark.parametrize("case", ["ladder41", "nodes201"])
 def test_stage_counters_match_the_work_done(case, monkeypatch, factor_attempts):
-    # each stage, the cold start included, reports its dpbtrf attempts, one
-    # per Newton step plus one per shift lift, and its (L_h u, F) evaluations,
-    # each one apply_dofs call; counted here by the calls themselves
+    # each row, the cold start (row 0) included, reports its dpbtrf attempts,
+    # one per Newton step plus one per shift lift, and its (L_h u, F)
+    # evaluations, each one apply_dofs call: its start's (row 0 only, the later
+    # rows start from the row before), one per accepted step and one per
+    # rejected trial; counted here by the calls themselves
     if case == "ladder41":
         op, F, clamp, p_max = _ladder_41()
     else:
@@ -572,11 +579,16 @@ def test_stage_counters_match_the_work_done(case, monkeypatch, factor_attempts):
 
     monkeypatch.setattr(supmin.continuation, "minimize_power_energy", recording)
     rep = continuation_solve(op, F, clamp, p_max=p_max)
-    assert [row.p for row, *_ in stages] == [1.0] + [row.p for row in rep.rows]
-    for row, attempts, evaluations in stages:
+    assert [row for row, *_ in stages] == rep.rows and rep.rows[0].p == 1.0
+    for k, (row, attempts, evaluations) in enumerate(stages):
+        assert not row.stalled   # so every Newton step is an accepted one
         assert row.factorizations == attempts == row.iterations + row.lifts
         assert row.evaluations == evaluations >= row.iterations
+        assert row.evaluations == (k == 0) + row.iterations + row.backtracks
     assert sum(row.iterations for row, *_ in stages) > len(stages)
+    # the work of the whole solve is the sum over its rows, with no outside term
+    assert (sum(row.factorizations for row in rep.rows)
+            == sum(row.iterations for row in rep.rows) + sum(row.lifts for row in rep.rows))
 
 
 def test_log_ratio_is_computed_once_per_trial_point_and_scale(monkeypatch):
@@ -626,14 +638,14 @@ def test_solve_invariants_are_built_once_per_solve(monkeypatch):
     n_unique = len(held)
     rep = continuation_solve(op, F, other, p_max=16.0)
     assert len(built) == 3
-    # the second solve's cold start and stages hold its one pair of invariants
-    assert len(held) == n_unique + 1 + len(rep.rows)
+    # the second solve's rows, its cold start included, hold its one pair of invariants
+    assert len(held) == n_unique + len(rep.rows)
     others = held[n_unique:]
     np.testing.assert_array_equal(others[0][0], op.clamp_part(other))
     assert others[0][1] == _zero_floor(op, F, other)
     assert all(part is others[0][0] for part, _ in others)
-    # uniqueness_check's two solves, from initial= and from the cold start,
-    # hold one pair each, built from the same clamp
+    # uniqueness_check's two solves, from initial= (whose start evaluation is
+    # a stage too) and from the cold start, hold one pair each, built from the same clamp
     assert not any(part is others[0][0] for part, _ in held[:n_unique])
     assert len({id(part) for part, _ in held[:n_unique]}) == 2
     for part, floor in held[:n_unique]:
@@ -701,9 +713,11 @@ def test_stages_do_not_evaluate_their_warm_start_again(monkeypatch, start):
     monkeypatch.setattr(_StageProblem, "evaluate", recording)
     rep = continuation_solve(op, F, u0, p_max=64.0, initial=initial)
     monkeypatch.undo()
-    assert len(rep.rows) > 2
-    warm_starts = [cold if initial is None else initial] + [row.u for row in rep.rows[:-1]]
-    for row, warm in zip(rep.rows, warm_starts):
+    # row 0 is the start: the cold start, or the initial field with the clamp's band
+    start_u = cold if initial is None else op.with_interior_dofs(u0, op.interior_dofs(initial))
+    np.testing.assert_array_equal(rep.rows[0].u, start_u)
+    assert len(rep.rows[1:]) > 2
+    for row, warm in zip(rep.rows[1:], [row.u for row in rep.rows[:-1]]):
         warm_x = op.interior_dofs(warm)
         assert not any(p == row.p and np.array_equal(x, warm_x) for p, x in seen)
         again = minimize_power_energy(op, F, u0, row.p, warm_start=warm,
@@ -717,13 +731,13 @@ def test_intermediate_stages_end_at_energy_accuracy(bang_bang_problem):
     # intermediate energies within 1e-8, and the stage that ends the run as accurate
     grid, op, F, u0 = bang_bang_problem
     rep = continuation_solve(op, F, u0, p_max=16.0)
-    assert [row.p for row in rep.rows] == [2.0, 4.0, 8.0, 16.0]
+    assert [row.p for row in rep.rows] == [1.0, 2.0, 4.0, 8.0, 16.0]
     warm, chain_iters = cold_start(op, F, u0).u, 0
-    for row in rep.rows:
+    for row in rep.rows[1:]:
         ref = minimize_power_energy(op, F, u0, row.p, warm_start=warm, tol=1e-9)
         warm, chain_iters = ref.u, chain_iters + ref.iterations
         assert row.energy == pytest.approx(ref.energy, rel=1e-8)
-    assert sum(row.iterations for row in rep.rows) < chain_iters
+    assert sum(row.iterations for row in rep.rows[1:]) < chain_iters
     last = rep.rows[-1]
     assert last.energy == pytest.approx(ref.energy, rel=1e-9)
     assert last.peak == pytest.approx(float(np.max(ref.fv)), rel=1e-9)
@@ -759,7 +773,7 @@ def _config_fit(name):
                          ids=["symmetric_velocity"] + list(SWEEP_CONFIGS))
 def test_final_stage_reaches_newton_tol(fit):
     newton_tol, rep = fit()
-    assert rep.rows or rep.degenerate
+    assert rep.rows[-1].p > 1.0 or rep.degenerate
     assert all(row.grad_rel <= newton_tol or row.stalled for row in rep.rows[-1:])
 
 
@@ -1087,7 +1101,7 @@ def test_penalized_solve_stops_at_residual_floor(bang_bang_problem, monkeypatch)
     # the tethered residual bottoms out near 1e-8, above the default tol=1e-10;
     # the shared Newton loop stops there instead of spending all MAX_NEWTON
     grid, op, F, u0 = bang_bang_problem
-    target = continuation_solve(op, F, u0, p_max=1024.0).u
+    target = continuation_solve(op, F, u0, p_max=1024.0).rows[-1].u
     calls = []
     factor = supmin.continuation._factor_spd
 
@@ -1126,15 +1140,15 @@ def test_zero_branch_returns_the_solved_field(solve, monkeypatch):
     op, F, clamp, rep = solve()
     assert rep.degenerate
     assert rep.e_inf == 0.0 and rep.bracket[0] == 0.0
-    np.testing.assert_array_equal(rep.f, 0.0)
-    lu = apply_operator(op, rep.u)
+    np.testing.assert_array_equal(rep.rows[-1].f, 0.0)
+    lu = apply_operator(op, rep.rows[-1].u)
     fv = F.eval_field(op.eq_coords(), lu)
-    np.testing.assert_array_equal(rep.lu, lu)
-    np.testing.assert_array_equal(rep.fv, fv)
+    np.testing.assert_array_equal(rep.rows[-1].lu, lu)
+    np.testing.assert_array_equal(rep.rows[-1].fv, fv)
     assert rep.bracket[1] == np.max(fv)
     # the floor reads the clamped band only, so the solved field gives the same one
-    assert rep.bracket[1] <= _zero_floor(op, F, clamp) == _zero_floor(op, F, rep.u)
-    np.testing.assert_array_equal(rep.u[op.clamp_idx], clamp[op.clamp_idx])
+    assert rep.bracket[1] <= _zero_floor(op, F, clamp) == _zero_floor(op, F, rep.rows[-1].u)
+    np.testing.assert_array_equal(rep.rows[-1].u[op.clamp_idx], clamp[op.clamp_idx])
 
 
 def test_degenerate_stage_row_reports_zero_cv():
@@ -1144,15 +1158,62 @@ def test_degenerate_stage_row_reports_zero_cv():
     start = u0.copy()
     start[op.interior_idx] = np.random.default_rng(5).standard_normal((op.n_interior, 1))
     rep = continuation_solve(op, F, u0, initial=start)
-    assert rep.degenerate and len(rep.rows) == 1
-    assert rep.rows[0].cv == 0.0
+    # the rows are the start's evaluation-only record and the degenerate stage
+    assert rep.degenerate and len(rep.rows) == 2
+    assert not rep.rows[0].degenerate and rep.rows[0].iterations == 0
+    assert rep.rows[-1].cv == 0.0
     assert rep.verify.cv_F == 0.0
     # the row is a degenerate stage record: peak at its zero floor, no dual field
-    row = rep.rows[0]
+    row = rep.rows[-1]
     assert row.degenerate
     assert row.peak == row.fv.max() <= _zero_floor(op, F, u0)
     assert row.f.shape == (op.n_eq, 1)
     np.testing.assert_array_equal(row.f, 0.0)
+
+
+def test_check_invariants_covers_a_start_that_took_newton_steps():
+    # the cold start is row 0 and part of the chain once it took a Newton step:
+    # a start whose energy exceeds e_inf fails the check; the same record with
+    # no Newton step reads as an initial= evaluation and is left out; the
+    # clamp's interior is zeroed, as its cubic interior is the p = 1 minimizer
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    u0[op.interior_idx] = 0.0
+    rep = continuation_solve(op, F, u0, p_max=64.0)
+    start = rep.rows[0]
+    assert start.p == 1.0 and start.iterations > 0
+    rep.check_invariants()
+    rep.rows[0] = dataclasses.replace(start, energy=1.01 * rep.e_inf)
+    with pytest.raises(AssertionError, match="not monotone"):
+        rep.check_invariants()
+    rep.rows[0] = dataclasses.replace(start, energy=1.01 * rep.e_inf, iterations=0)
+    rep.check_invariants()
+
+
+def test_random_initial_start_is_an_unchecked_evaluation_row():
+    # a uniqueness_check-style random start is row 0 as an evaluation only: no
+    # Newton step, one evaluation, its field's p = 1 record and residual; its
+    # mean cost is above the limit, so check_invariants passes only by leaving it out
+    grid, op, F, u0 = make_1d_problem(nodes=41)
+    start = u0.copy()
+    mask = grid.interior_mask()
+    start[mask] += 0.5 * np.random.default_rng(1).standard_normal((mask.sum(), 1))
+    rep = continuation_solve(op, F, u0, p_max=64.0, initial=start)
+    row = rep.rows[0]
+    counters = (row.iterations, row.factorizations, row.lifts, row.backtracks, row.rescales)
+    assert (row.p, row.evaluations, counters, row.stalled) == (1.0, 1, (0, 0, 0, 0, 0), False)
+    np.testing.assert_array_equal(row.u, start)
+    lu, fv = _evaluate(op, F, start)
+    np.testing.assert_allclose(row.lu, lu, rtol=1e-12, atol=1e-12)
+    assert (row.energy, row.peak) == pytest.approx((float(np.mean(fv)), float(np.max(fv))))
+    problem = _StageProblem(op, F, u0, 1.0)
+    problem.scale = row.peak
+    x = op.interior_dofs(start)
+    residual = problem.residual(problem.grad_state(x, row.lu, row.fv))
+    assert row.grad_rel == residual > supmin.continuation.NEWTON_TOL
+    assert row.energy > rep.e_inf
+    rep.check_invariants()
+    np.testing.assert_allclose(rep.rows[-1].u, continuation_solve(op, F, u0, p_max=64.0).rows[-1].u,
+                               atol=1e-6)
 
 
 def test_initial_field_keeps_the_clamp():
@@ -1163,7 +1224,7 @@ def test_initial_field_keeps_the_clamp():
     assert supmin.verify.uniqueness_check(op, F, u0, start_a=zeros) <= 1e-12
     rep = continuation_solve(op, F, u0, initial=zeros)
     assert not rep.degenerate
-    np.testing.assert_array_equal(rep.u[op.clamp_idx], u0[op.clamp_idx])
+    np.testing.assert_array_equal(rep.rows[-1].u[op.clamp_idx], u0[op.clamp_idx])
     with pytest.raises(DimensionMismatch, match="initial field"):
         continuation_solve(op, F, u0, initial=zeros[1:])
     bad = u0.copy()
@@ -1218,7 +1279,7 @@ def test_stage_far_from_its_minimizer_reports_no_wrong_minimum(bump):
     # (F/m)^(p-1) underflow to zero and a zero residual ends the stage far from
     # its minimizer; failing to converge is allowed, a wrong minimum is not
     grid, op, F, u0 = make_1d_problem(nodes=41)
-    warm = continuation_solve(op, F, u0, p_max=64.0).u
+    warm = continuation_solve(op, F, u0, p_max=64.0).rows[-1].u
     ref = minimize_power_energy(op, F, u0, 64.0, warm_start=warm)
     start = ref.u.copy()
     start[20] += bump

@@ -49,5 +49,5 @@ def test_traced_solve_records_stage_and_dual_spans():
         tracer.uninstall()
     counts = collections.Counter(rec[module.NAME] for rec in tracer.spans)
     assert counts["continuation.solve"] == 1
-    # one dual field per stage: the scheduled stages plus the cold start
-    assert counts["continuation.dual"] == counts["continuation.stage"] == len(rep.rows) + 1
+    # one dual field per row: the cold start (row 0) and the scheduled stages
+    assert counts["continuation.dual"] == counts["continuation.stage"] == len(rep.rows)

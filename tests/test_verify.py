@@ -71,7 +71,7 @@ def test_last_stage_cv_is_the_verifier_cv_F():
     rep = continuation_solve(op, WeightedPowerNorm(2), clamp, p_max=64.0)
     assert not rep.degenerate
     assert rep.rows[-1].cv == rep.verify.cv_F
-    mag, active = active_set(rep.f)
+    mag, active = active_set(rep.rows[-1].f)
     assert np.array_equal(active, mag > 0.1 * mag.max())
     assert rep.verify.active_fraction == pytest.approx(np.mean(active))
 
@@ -152,10 +152,10 @@ def test_absolute_min_check_passes_sup_and_fails_p2_minimizer(bang_bang_problem,
     # fields sharing its two outer sub-box layers; the p = 2 minimizer does not
     _, op_1d, F_1d, u0_1d = bang_bang_problem
     _, op_2d, F_2d, u0_2d, report_2d, _ = smoke_2d_run
-    sup_1d = continuation_solve(op_1d, F_1d, u0_1d).u
+    sup_1d = continuation_solve(op_1d, F_1d, u0_1d).rows[-1].u
     cases = [
         (op_1d, F_1d, u0_1d, sup_1d, [((40,), (120,)), ((10,), (60,))]),
-        (op_2d, F_2d, u0_2d, report_2d.u, [((5, 5), (26, 26)), ((15, 10), (36, 31))]),
+        (op_2d, F_2d, u0_2d, report_2d.rows[-1].u, [((5, 5), (26, 26)), ((15, 10), (36, 31))]),
     ]
     for op, F, clamp, u_sup, boxes in cases:
         u_p2 = minimize_power_energy(op, F, clamp, p=2.0).u
